@@ -87,6 +87,7 @@ def main() -> None:
         print(f"\nover HTTP at {url}: {len(web.jobs())} job(s) in history")
     finally:
         httpd.shutdown()
+        httpd.server_close()
     print("\nQuickstart complete.")
 
 

@@ -4,9 +4,8 @@ The scale-out architecture (DESIGN §13) splits the portal into N
 front-end workers that drive one cluster back-end through an explicit
 messaging boundary:
 
-* :mod:`repro.bus.core` — the thread-safe :class:`MessageBus` with
-  pluggable backends (the in-memory backend ships; redis/kafka names
-  are registered but gated off in this build);
+* :mod:`repro.bus.core` — the thread-safe :class:`MessageBus` over the
+  in-memory backend (or any object with the same methods);
 * :mod:`repro.bus.rpc` — request/reply on top of the bus: JSON wire
   codec, correlation ids, timeouts, remote-error propagation;
 * :mod:`repro.bus.service` — :class:`ClusterBackendService`, the
@@ -16,7 +15,7 @@ messaging boundary:
 """
 
 from repro._errors import BusError, RpcRemoteError, RpcTimeout
-from repro.bus.core import InMemoryBackend, MessageBus, available_backends
+from repro.bus.core import InMemoryBackend, MessageBus
 from repro.bus.proxy import ClusterProxy
 from repro.bus.rpc import RpcClient, RpcServer, decode_wire, encode_wire
 from repro.bus.service import ClusterBackendService
@@ -31,7 +30,6 @@ __all__ = [
     "RpcRemoteError",
     "RpcServer",
     "RpcTimeout",
-    "available_backends",
     "decode_wire",
     "encode_wire",
 ]

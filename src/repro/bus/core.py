@@ -1,4 +1,4 @@
-"""Thread-safe message bus with pluggable backends.
+"""Thread-safe message bus over an in-process backend.
 
 Point-to-point **queues** carry RPC traffic (one consumer drains each
 queue); **topics** fan a published payload out to every subscriber
@@ -7,10 +7,9 @@ per-queue condition variable so a service loop can sleep until work
 arrives; topic delivery is synchronous on the publisher's thread, which
 keeps replication deterministic in tests.
 
-Backends are pluggable by name.  ``"memory"`` is the real one; the
-``"redis"``/``"kafka"`` names exist so configuration written against a
-production deployment fails with a clear message rather than an import
-error — the container deliberately carries no broker client libraries.
+``MessageBus("memory")`` runs on the in-process backend; any object
+with the same ``put``/``get``/``depth``/``subscribe``/``publish``
+methods can be passed in its place.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from repro._errors import BusError
 
-__all__ = ["InMemoryBackend", "MessageBus", "available_backends", "register_backend"]
+__all__ = ["InMemoryBackend", "MessageBus"]
 
 
 class _Queue:
@@ -84,35 +83,6 @@ class InMemoryBackend:
         return len(subscribers)
 
 
-def _unavailable(name: str) -> Callable[[], InMemoryBackend]:
-    def factory() -> InMemoryBackend:
-        raise BusError(
-            f"bus backend {name!r} is not available in this build "
-            "(no broker client is installed); use backend='memory'"
-        )
-
-    return factory
-
-
-#: name → zero-arg factory.  External brokers are registered as gated
-#: stubs so a config naming them fails loudly, not with an ImportError.
-_BACKENDS: dict[str, Callable[[], Any]] = {
-    "memory": InMemoryBackend,
-    "redis": _unavailable("redis"),
-    "kafka": _unavailable("kafka"),
-}
-
-
-def register_backend(name: str, factory: Callable[[], Any]) -> None:
-    """Register (or override) a backend factory under ``name``."""
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Every registered backend name (including gated stubs)."""
-    return tuple(sorted(_BACKENDS))
-
-
 class MessageBus:
     """Facade over one backend, with send/delivery accounting.
 
@@ -123,14 +93,9 @@ class MessageBus:
 
     def __init__(self, backend: str | Any = "memory") -> None:
         if isinstance(backend, str):
-            try:
-                factory = _BACKENDS[backend]
-            except KeyError:
-                raise BusError(
-                    f"unknown bus backend {backend!r} "
-                    f"(registered: {', '.join(available_backends())})"
-                ) from None
-            backend = factory()
+            if backend != "memory":
+                raise BusError(f"unknown bus backend {backend!r} (use 'memory')")
+            backend = InMemoryBackend()
         self.backend = backend
         self.sent = 0
         self.delivered = 0

@@ -1,32 +1,302 @@
-"""Threaded HTTP server for the portal (stdlib ``wsgiref``)."""
+"""HTTP server for the portal: a small pooled WSGI server.
+
+Every request is HTTP/1.0 on a connection of its own: the server reads
+one request, answers it and closes the socket, so the response needs no
+chunked framing and no keep-alive bookkeeping.  Clients that speak
+HTTP/1.1 (``http.client``, browsers) read to the close.
+
+* **Threads are reused.**  The serve loop hands each accepted socket to
+  a worker thread parked from an earlier request and starts a new
+  worker only when none is idle, so concurrency stays unbounded (a
+  request blocked on a long job poll never delays another connection)
+  without paying a thread start per request.  :meth:`server_close`
+  releases the parked workers.
+* **Requests are parsed by hand.**  The request line and header lines
+  are split into the WSGI environ directly, with the stdlib server's
+  limits: a request line over 64 KiB is refused with 414, an over-long
+  header line or more than 100 of them with 431.  ``wsgi.input`` is the
+  socket's buffered reader, so an upload is read as the app consumes it.
+* **A buffered response is one send.**  The status line and headers go
+  out in one buffer together with the first body chunk, which for every
+  non-streamed response is the whole body; later chunks of a streamed
+  download are written one by one.
+
+The server subclasses :class:`socketserver.TCPServer` and keeps its
+hook methods: ``process_request`` runs on the accept thread, and
+``process_request_thread`` (which calls ``finish_request`` and then
+``shutdown_request``) on the request's worker, each called through
+``self`` on every request.  Wrapping them on an instance is how a
+tracer times the accept, hand-off, request and close legs.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
-from socketserver import ThreadingMixIn
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+import time
+import urllib.parse
+from email.utils import formatdate
+from socketserver import TCPServer
 
 __all__ = ["serve", "start_background", "start_fleet"]
 
+#: longest request line or header line accepted (bytes, as ``http.server``).
+_MAX_LINE = 65536
 
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """One thread per request — the portal blocks on job polling."""
+#: most header lines accepted (as ``http.client``).
+_MAX_HEADERS = 100
 
-    daemon_threads = True
+#: statuses whose response never carries a body.
+_BODYLESS = ("204", "304")
+
+#: the client hung up mid-request or mid-response: nothing to report.
+_DISCONNECTS = (BrokenPipeError, ConnectionResetError)
 
 
-class _QuietHandler(WSGIRequestHandler):
-    """Suppress per-request stderr logging (tests stay clean)."""
+class _Reject(Exception):
+    """A request refused before the app sees it."""
 
-    def log_message(self, format, *args):  # noqa: A002 - wsgiref signature
-        pass
+    def __init__(self, status: str) -> None:
+        super().__init__(status)
+        self.status = status
+
+
+class _Worker:
+    """A pooled request thread and the slot its next connection arrives in."""
+
+    __slots__ = ("thread", "wake", "job")
+
+    def __init__(self) -> None:
+        self.thread: threading.Thread | None = None
+        self.wake = threading.Lock()
+        self.wake.acquire()  # held until a connection (or close) arrives
+        self.job = None
+
+
+class _Exchange:
+    """The response side of one request: ``start_response`` and the socket."""
+
+    __slots__ = ("sock", "date", "status", "headers", "length", "sent")
+
+    def __init__(self, sock, date: str) -> None:
+        self.sock = sock
+        self.date = date
+        self.status: str | None = None
+        self.headers = ()
+        #: body length to declare when the app did not (single-chunk bodies)
+        self.length: int | None = None
+        self.sent = False
+
+    def start_response(self, status: str, headers: list, exc_info=None):
+        if exc_info is not None:
+            try:
+                if self.sent:
+                    raise exc_info[1].with_traceback(exc_info[2])
+            finally:
+                exc_info = None
+        elif self.status is not None:
+            raise AssertionError("start_response called twice")
+        self.status, self.headers = status, headers
+        return self.write
+
+    def write(self, data: bytes) -> None:
+        """Send ``data``, preceded by the status line and headers the first time."""
+        if self.sent:
+            self.sock.sendall(data)
+            return
+        if self.status is None:
+            raise AssertionError("write before start_response")
+        lines = [f"HTTP/1.0 {self.status}\r\n"]
+        has_length = has_date = False
+        for name, value in self.headers:
+            lines.append(f"{name}: {value}\r\n")
+            lowered = name.lower()
+            has_length = has_length or lowered == "content-length"
+            has_date = has_date or lowered == "date"
+        if not has_date:
+            lines.append(f"Date: {self.date}\r\n")
+        if not has_length and self.length is not None and self.status[:3] not in _BODYLESS:
+            lines.append(f"Content-Length: {self.length}\r\n")
+        lines.append("\r\n")
+        self.sent = True
+        self.sock.sendall("".join(lines).encode("latin-1") + data)
+
+    def reply(self, status: str, body: bytes) -> None:
+        """Answer with a plain-text ``body`` in place of anything unsent."""
+        self.status = status
+        self.headers = [("Content-Type", "text/plain; charset=utf-8")]
+        self.length = len(body)
+        self.write(body)
+
+
+class _PortalServer(TCPServer):
+    """Serve one WSGI app; see the module docstring."""
+
+    allow_reuse_address = True
+
+    def __init__(self, server_address: tuple[str, int], app) -> None:
+        super().__init__(server_address, None)
+        self.app = app
+        self.server_port: int = self.server_address[1]
+        self._environ = {
+            "SERVER_NAME": server_address[0],
+            "SERVER_PORT": str(self.server_port),
+            "SERVER_SOFTWARE": "repro-portal",
+            "GATEWAY_INTERFACE": "CGI/1.1",
+            "SCRIPT_NAME": "",
+            "wsgi.version": (1, 0),
+            "wsgi.url_scheme": "http",
+            "wsgi.errors": sys.stderr,
+            "wsgi.multithread": True,
+            "wsgi.multiprocess": False,
+            "wsgi.run_once": False,
+        }
+        self._date: tuple[int, str] = (0, "")
+        self._lock = threading.Lock()  # guards _parked and _closed
+        self._parked: list[_Worker] = []
+        self._closed = False
+
+    # -- threads --------------------------------------------------------------
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a parked worker, or start one if none is idle."""
+        with self._lock:
+            worker = self._parked.pop() if self._parked else None
+        if worker is not None:
+            worker.job = (request, client_address)
+            worker.wake.release()
+            return
+        worker = _Worker()
+        worker.thread = threading.Thread(
+            target=self._work, args=(worker, request, client_address),
+            daemon=True, name="portal-http-worker",
+        )
+        worker.thread.start()
+
+    def _work(self, worker: _Worker, request, client_address) -> None:
+        while True:
+            self.process_request_thread(request, client_address)
+            request = client_address = None
+            with self._lock:
+                if self._closed:
+                    return
+                self._parked.append(worker)
+            worker.wake.acquire()
+            if worker.job is None:
+                return
+            (request, client_address), worker.job = worker.job, None
+
+    def process_request_thread(self, request, client_address) -> None:
+        """Serve one connection on its worker, then close it."""
+        try:
+            self.finish_request(request, client_address)
+        except _DISCONNECTS:
+            pass
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and let every parked worker exit."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for worker in parked:
+            worker.wake.release()
+        for worker in parked:
+            worker.thread.join()
+
+    # -- one request ------------------------------------------------------------
+    def finish_request(self, request, client_address) -> None:
+        """Read one request off ``request``, run the app and write its response."""
+        rfile = request.makefile("rb")
+        try:
+            exchange = _Exchange(request, self._http_date())
+            try:
+                environ = self._read_request(rfile, client_address)
+            except _Reject as refused:
+                exchange.reply(refused.status, refused.status[4:].encode())
+                return
+            if environ is not None:
+                self._run_app(environ, exchange)
+        finally:
+            rfile.close()
+
+    def _read_request(self, rfile, client_address) -> dict | None:
+        """The WSGI environ of the request on ``rfile``; None if the client sent nothing."""
+        line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return None
+        if len(line) > _MAX_LINE:
+            raise _Reject("414 URI Too Long")
+        parts = line.decode("iso-8859-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _Reject("400 Bad Request")
+        method, target, protocol = parts
+        path, _, query = target.partition("?")
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        environ = self._environ.copy()
+        environ["REQUEST_METHOD"] = method
+        environ["PATH_INFO"] = urllib.parse.unquote(path, "iso-8859-1")
+        environ["QUERY_STRING"] = query
+        environ["SERVER_PROTOCOL"] = protocol
+        environ["REMOTE_ADDR"] = client_address[0]
+        environ["wsgi.input"] = rfile
+        for _ in range(_MAX_HEADERS + 1):
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Reject("431 Request Header Fields Too Large")
+            if line in (b"\r\n", b"\n", b""):
+                return environ
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Reject("400 Bad Request")
+            key = name.upper().replace("-", "_")
+            value = value.strip()
+            if key in ("CONTENT_TYPE", "CONTENT_LENGTH"):
+                environ.setdefault(key, value)
+            elif "HTTP_" + key in environ:
+                environ["HTTP_" + key] += "," + value
+            else:
+                environ["HTTP_" + key] = value
+        raise _Reject("431 Request Header Fields Too Large")
+
+    def _run_app(self, environ: dict, exchange: _Exchange) -> None:
+        try:
+            result = self.app(environ, exchange.start_response)
+            try:
+                if type(result) in (list, tuple) and len(result) == 1:
+                    exchange.length = len(result[0])
+                for chunk in result:
+                    if chunk:
+                        exchange.write(chunk)
+                if not exchange.sent:
+                    exchange.write(b"")
+            finally:
+                close = getattr(result, "close", None)
+                if close is not None:
+                    close()
+        except Exception:
+            if not exchange.sent:
+                exchange.reply("500 Internal Server Error", b"A server error occurred.")
+            raise
+
+    def _http_date(self) -> str:
+        """The ``Date`` header value, formatted once per second."""
+        now = int(time.time())
+        stamp, text = self._date
+        if stamp != now:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
 
 def serve(app, host: str = "127.0.0.1", port: int = 8080):
     """Serve ``app`` forever (Ctrl-C to stop)."""
-    httpd = make_server(host, port, app, server_class=_ThreadingWSGIServer,
-                        handler_class=_QuietHandler)
-    print(f"Cluster portal listening on http://{host}:{port}/")
+    httpd = _PortalServer((host, port), app)
+    print(f"Cluster portal listening on http://{host}:{httpd.server_port}/")
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:
@@ -39,10 +309,10 @@ def start_background(app, host: str = "127.0.0.1", port: int = 0):
     """Start the server on a daemon thread; returns ``(httpd, base_url)``.
 
     ``port=0`` picks a free port — used by the live-HTTP integration
-    tests and the quickstart example.
+    tests and the quickstart example.  Stop it with ``httpd.shutdown()``
+    and then ``httpd.server_close()``.
     """
-    httpd = make_server(host, port, app, server_class=_ThreadingWSGIServer,
-                        handler_class=_QuietHandler)
+    httpd = _PortalServer((host, port), app)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True, name="portal-http")
     thread.start()
     return httpd, f"http://{host}:{httpd.server_port}"

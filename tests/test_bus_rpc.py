@@ -17,10 +17,10 @@ from repro._errors import (
 from repro.bus import (
     ClusterBackendService,
     ClusterProxy,
+    InMemoryBackend,
     MessageBus,
     RpcClient,
     RpcServer,
-    available_backends,
     decode_wire,
     encode_wire,
 )
@@ -73,13 +73,15 @@ class TestBusCore:
         with pytest.raises(BusError):
             MessageBus().send("", "x")
 
-    def test_external_broker_backends_are_gated(self):
-        assert {"memory", "redis", "kafka"} <= set(available_backends())
-        for name in ("redis", "kafka"):
-            with pytest.raises(BusError, match="not available"):
-                MessageBus(name)
+    def test_only_the_memory_backend_is_named(self):
         with pytest.raises(BusError, match="unknown bus backend"):
-            MessageBus("rabbitmq")
+            MessageBus("redis")
+
+    def test_backend_object_is_used_as_given(self):
+        backend = InMemoryBackend()
+        bus = MessageBus(backend)
+        bus.send("q", "x")
+        assert bus.backend is backend and backend.depth("q") == 1
 
 
 class TestWireCodec:

@@ -62,6 +62,7 @@ class TestLiveHttpServer:
             assert any(f["name"] == "net.c" for f in files)
         finally:
             httpd.shutdown()
+            httpd.server_close()
 
     def test_login_failure_over_tcp(self, portal_app):
         httpd, url = start_background(portal_app)
@@ -71,6 +72,7 @@ class TestLiveHttpServer:
                 client.login("nobody", "nothing")
         finally:
             httpd.shutdown()
+            httpd.server_close()
 
 
 class TestClassroom:

@@ -145,3 +145,4 @@ class TestPortalCli:
             assert client.quota()["quota_bytes"] == 1024 * 1024
         finally:
             httpd.shutdown()
+            httpd.server_close()
