@@ -7,10 +7,10 @@ spends most of a request *waiting* on the cluster control-plane round
 trip, and N workers overlap those waits.
 
 The bench builds a :class:`~repro.portal.frontend.FrontendFleet` whose
-back-end service models a 2 ms control-plane RTT (the due-heap delivery
-thread — no per-request sleeps), drives each worker with a closed-loop
-client hammering the cached status/listing mix, and publishes req/s and
-p99 latency for 1 → 2 → 4 → 8 workers.
+back-end service models a 2 ms control-plane RTT (each caller sleeps it
+outside the service's lock, so waits overlap), drives each worker with
+a closed-loop client hammering the cached status/listing mix, and
+publishes req/s and p99 latency for 1 → 2 → 4 → 8 workers.
 
 Guard: **aggregate throughput at 4 workers ≥ 2× a single worker.**
 p99 is reported per worker count so the saturation knee is visible in

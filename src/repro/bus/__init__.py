@@ -6,10 +6,11 @@ messaging boundary:
 
 * :mod:`repro.bus.core` — the thread-safe :class:`MessageBus` over the
   in-memory backend (or any object with the same methods);
-* :mod:`repro.bus.rpc` — request/reply on top of the bus: JSON wire
-  codec, correlation ids, timeouts, remote-error propagation;
+* :mod:`repro.bus.rpc` — RPC on the bus's request/reply primitive, run
+  on the caller's thread: JSON wire codec, one-at-a-time handlers,
+  timeouts, remote-error propagation;
 * :mod:`repro.bus.service` — :class:`ClusterBackendService`, the
-  back-end service loop wrapping one :class:`JobDistributor`;
+  back-end service wrapping one :class:`JobDistributor`;
 * :mod:`repro.bus.proxy` — :class:`ClusterProxy`, the typed client
   stub each front-end worker uses instead of holding the distributor.
 """

@@ -1,15 +1,21 @@
 """Thread-safe message bus over an in-process backend.
 
-Point-to-point **queues** carry RPC traffic (one consumer drains each
-queue); **topics** fan a published payload out to every subscriber
-(session replication, invalidation signals).  Queues block on a
-per-queue condition variable so a service loop can sleep until work
-arrives; topic delivery is synchronous on the publisher's thread, which
-keeps replication deterministic in tests.
+Three primitives:
+
+* **request/reply** carries RPC traffic: a server registers one handler
+  per queue (:meth:`MessageBus.serve`) and :meth:`MessageBus.request`
+  runs it on the caller's thread, so a round trip costs no thread
+  hand-off;
+* point-to-point **queues** (one consumer drains each queue) block on a
+  per-queue condition variable so a consumer can sleep until work
+  arrives;
+* **topics** fan a published payload out to every subscriber (session
+  replication, invalidation signals), synchronously on the publisher's
+  thread, which keeps replication deterministic in tests.
 
 ``MessageBus("memory")`` runs on the in-process backend; any object
-with the same ``put``/``get``/``depth``/``subscribe``/``publish``
-methods can be passed in its place.
+with the same ``serve``/``unserve``/``request``/``put``/``get``/
+``depth``/``subscribe``/``publish`` methods can be passed in its place.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro._errors import BusError
+from repro._errors import BusError, RpcTimeout
 
 __all__ = ["InMemoryBackend", "MessageBus"]
 
@@ -34,14 +40,15 @@ class _Queue:
 
 
 class InMemoryBackend:
-    """The in-process backend: dict of queues, dict of topic subscribers."""
+    """The in-process backend: dicts of servers, queues and topic subscribers."""
 
     name = "memory"
 
     def __init__(self) -> None:
+        self._servers: dict[str, Callable[[Any, Optional[float]], Any]] = {}
         self._queues: dict[str, _Queue] = {}
         self._topics: dict[str, list[Callable[[Any], None]]] = {}
-        self._lock = threading.Lock()  # guards the two dicts, never delivery
+        self._lock = threading.Lock()  # guards the dicts' writes, never delivery
 
     def _queue(self, name: str) -> _Queue:
         with self._lock:
@@ -49,6 +56,23 @@ class InMemoryBackend:
             if q is None:
                 q = self._queues[name] = _Queue()
             return q
+
+    # -- request/reply -----------------------------------------------------
+    def serve(self, queue: str, handler: Callable[[Any, Optional[float]], Any]) -> None:
+        with self._lock:
+            if queue in self._servers:
+                raise BusError(f"queue {queue!r} already has a server")
+            self._servers[queue] = handler
+
+    def unserve(self, queue: str) -> None:
+        with self._lock:
+            self._servers.pop(queue, None)
+
+    def request(self, queue: str, message: Any, timeout: Optional[float]) -> Any:
+        handler = self._servers.get(queue)  # one dict read: atomic without the lock
+        if handler is None:
+            raise RpcTimeout(f"no server on {queue!r}")
+        return handler(message, timeout)
 
     # -- point-to-point ----------------------------------------------------
     def put(self, queue: str, item: Any) -> None:
@@ -100,6 +124,27 @@ class MessageBus:
         self.sent = 0
         self.delivered = 0
         self.published = 0
+
+    # -- request/reply -----------------------------------------------------
+    def serve(self, queue: str, handler: Callable[[Any, Optional[float]], Any]) -> None:
+        """Make ``handler(message, timeout)`` the one server of ``queue``.
+
+        Raises :class:`BusError` when ``queue`` already has a server.
+        """
+        self.backend.serve(queue, handler)
+
+    def unserve(self, queue: str) -> None:
+        """Remove ``queue``'s server; later requests find none."""
+        self.backend.unserve(queue)
+
+    def request(self, queue: str, message: Any, timeout: Optional[float] = None) -> Any:
+        """Run ``queue``'s server on ``message`` on this thread; its reply.
+
+        ``timeout`` is handed to the server, which bounds its own wait.
+        Raises :class:`RpcTimeout` at once when nobody serves ``queue``:
+        no reply can come, so a caller should not wait for one.
+        """
+        return self.backend.request(queue, message, timeout)
 
     # -- point-to-point ----------------------------------------------------
     def send(self, queue: str, message: Any) -> None:

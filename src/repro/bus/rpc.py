@@ -1,5 +1,11 @@
 """Request/reply RPC over the message bus.
 
+A call runs on the caller's thread: :meth:`RpcClient.call` encodes the
+envelope and hands it to :meth:`MessageBus.request`, which runs the
+:class:`RpcServer` registered on the service queue; the server decodes
+it, runs the named handler and encodes the reply, and the client
+decodes that.  No thread, queue or correlation id sits between them.
+
 Wire discipline: every payload that crosses the bus is round-tripped
 through JSON (:func:`encode_wire`/:func:`decode_wire`).  In-process the
 bytes could be skipped, but enforcing the codec here means a front-end
@@ -9,9 +15,9 @@ broker changes no calling code.
 
 Envelopes are plain dicts::
 
-    request:  {"method", "params", "reply_to", "corr"}
-    reply:    {"corr", "ok": result}            on success
-              {"corr", "err": {"type", "message"}}  on handler failure
+    request:  {"method", "params"}
+    reply:    {"ok": result}                   on success
+              {"err": {"type", "message"}}     on handler failure
 
 Handler exceptions are encoded and re-raised client-side as
 :class:`RpcRemoteError` carrying the remote class name, which the portal
@@ -31,11 +37,15 @@ from repro.bus.core import MessageBus
 
 __all__ = ["RpcClient", "RpcServer", "decode_wire", "encode_wire"]
 
+#: ``json.dumps`` with non-default separators builds a new encoder per
+#: call; one shared compact encoder is stateless between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def encode_wire(payload: Any) -> str:
     """Serialise ``payload`` for the bus; rejects non-JSON-able objects."""
     try:
-        return json.dumps(payload, separators=(",", ":"))
+        return _ENCODER.encode(payload)
     except (TypeError, ValueError) as exc:
         raise BusError(f"payload is not wire-safe: {exc}") from None
 
@@ -48,79 +58,83 @@ def decode_wire(data: str) -> Any:
 
 
 class RpcServer:
-    """Drains one service queue, dispatching requests to named handlers.
+    """Named handlers served on one queue, one call at a time.
 
-    Run :meth:`serve_step` from your own loop, or :meth:`start` a daemon
-    thread.  ``on_reply`` lets a wrapper intercept outgoing replies (the
-    back-end service uses it to model control-plane latency).
+    :meth:`start` registers the server on the bus and :meth:`stop`
+    removes it; no thread of its own runs.  Callers' threads take turns
+    through one lock, acquired within each call's timeout: a call that
+    cannot get it raises :class:`RpcTimeout` without running its handler,
+    so a client's retry cannot repeat work a first attempt did.
+
+    ``reply_latency_s`` models a network round trip: each caller sleeps
+    that long after its handler, outside the lock, so concurrent callers
+    overlap their waits as they would against a remote service.
     """
 
-    def __init__(self, bus: MessageBus, service_queue: str) -> None:
+    #: not called: a reply returns to its caller directly (perfbench's
+    #: tracer still patches the attribute)
+    on_reply: Optional[Callable[[str, str], None]] = None
+
+    def __init__(
+        self, bus: MessageBus, service_queue: str, reply_latency_s: float = 0.0
+    ) -> None:
         self.bus = bus
         self.service_queue = service_queue
+        self.reply_latency_s = reply_latency_s
         self._handlers: dict[str, Callable[[dict], Any]] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        #: override to defer/shape reply delivery; default sends at once.
-        self.on_reply: Callable[[str, str], None] = self.bus.send
+        self._lock = threading.Lock()
+        self._serving = False
         self.requests_served = 0
         self.errors_returned = 0
 
     def register(self, method: str, handler: Callable[[dict], Any]) -> None:
         self._handlers[method] = handler
 
-    # -- the loop ------------------------------------------------------------
-    def serve_step(self, timeout: float = 0.05) -> bool:
-        """Handle at most one request; returns whether one arrived."""
-        raw = self.bus.receive(self.service_queue, timeout)
-        if raw is None:
-            return False
-        req = decode_wire(raw)
-        reply: dict[str, Any] = {"corr": req.get("corr")}
+    # -- serving -------------------------------------------------------------
+    def handle(self, data: str, timeout: Optional[float]) -> str:
+        """Serve one encoded request on the calling thread; the encoded reply."""
+        req = decode_wire(data)
+        if not self._lock.acquire(timeout=-1 if timeout is None else timeout):
+            raise RpcTimeout(f"{self.service_queue!r} stayed busy for {timeout}s")
         try:
-            handler = self._handlers.get(req.get("method", ""))
-            if handler is None:
-                raise BusError(f"unknown RPC method {req.get('method')!r}")
-            reply["ok"] = handler(req.get("params") or {})
-        except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
-            reply["err"] = {"type": type(exc).__name__, "message": str(exc)}
-            self.errors_returned += 1
-        self.requests_served += 1
-        reply_to = req.get("reply_to")
-        if reply_to:
-            self.on_reply(reply_to, encode_wire(reply))
-        return True
+            if not self._serving:  # stopped while this call waited
+                raise RpcTimeout(f"no server on {self.service_queue!r}")
+            try:
+                handler = self._handlers.get(req.get("method", ""))
+                if handler is None:
+                    raise BusError(f"unknown RPC method {req.get('method')!r}")
+                reply = {"ok": handler(req.get("params") or {})}
+            except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
+                reply = {"err": {"type": type(exc).__name__, "message": str(exc)}}
+                self.errors_returned += 1
+            self.requests_served += 1
+        finally:
+            self._lock.release()
+        if self.reply_latency_s > 0:
+            time.sleep(self.reply_latency_s)
+        return encode_wire(reply)
 
-    def start(self, name: str = "rpc-server") -> None:
-        if self._thread is not None:
-            raise BusError("RPC server already started")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                self.serve_step(timeout=0.05)
-
-        self._thread = threading.Thread(target=loop, daemon=True, name=name)
-        self._thread.start()
+    def start(self) -> None:
+        """Serve the queue; :class:`BusError` if it already has a server."""
+        self.bus.serve(self.service_queue, self.handle)
+        self._serving = True
 
     def stop(self, timeout: float = 2.0) -> None:
-        if self._thread is None:
+        """Stop serving; wait up to ``timeout`` for a running handler."""
+        if not self._serving:
             return
-        self._stop.set()
-        self._thread.join(timeout)
-        self._thread = None
+        self._serving = False
+        self.bus.unserve(self.service_queue)
+        if self._lock.acquire(timeout=timeout):
+            self._lock.release()
 
 
 class RpcClient:
     """One caller's end of the request/reply pair.
 
-    Each client owns a private reply queue, so concurrent clients never
-    steal each other's replies.  A single client may also be shared by
-    concurrent threads (a front-end worker serving parallel requests):
-    in-flight calls register their correlation id, one thread at a time
-    drains the reply queue and deposits each reply with its waiter, and
-    only replies nobody is waiting for — late answers to timed-out
-    calls — are dropped.
+    A client may be shared by concurrent threads (a front-end worker
+    serving parallel requests): each call runs on its own thread and gets
+    its own reply back from the bus.
     """
 
     _ids = itertools.count(1)
@@ -131,60 +145,29 @@ class RpcClient:
         self.bus = bus
         self.service_queue = service_queue
         self.client_id = client_id or f"c{next(self._ids)}"
-        self.reply_queue = f"rpc.reply.{self.client_id}"
-        self._corr = itertools.count(1)
-        self._pending: dict[int, tuple[threading.Event, dict]] = {}
-        self._pending_lock = threading.Lock()
-        self._drain_lock = threading.Lock()
         self.calls = 0
         self.timeouts = 0
+        #: always 0: no reply can outlive its call (perfbench reads it)
         self.stale_dropped = 0
 
     def call(self, method: str, params: dict | None = None, timeout: float = 5.0) -> Any:
         """Invoke ``method`` on the service; returns the decoded result.
 
-        Raises :class:`RpcTimeout` when no reply lands in ``timeout``
-        seconds and :class:`RpcRemoteError` when the handler raised.
+        Raises :class:`RpcTimeout` when the service is not serving or
+        stays busy for ``timeout`` seconds (the handler has not run), and
+        :class:`RpcRemoteError` when the handler raised.
         """
-        corr = next(self._corr)
         self.calls += 1
-        done = threading.Event()
-        slot: dict[str, Any] = {"reply": None}
-        with self._pending_lock:
-            self._pending[corr] = (done, slot)
         try:
-            self.bus.send(
+            data = self.bus.request(
                 self.service_queue,
-                encode_wire(
-                    {
-                        "method": method,
-                        "params": params or {},
-                        "reply_to": self.reply_queue,
-                        "corr": corr,
-                    }
-                ),
+                encode_wire({"method": method, "params": params or {}}),
+                timeout,
             )
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not done.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.timeouts += 1
-                    raise RpcTimeout(
-                        f"no reply to {method!r} from {self.service_queue!r} "
-                        f"within {timeout}s"
-                    )
-                if self._drain_lock.acquire(blocking=False):
-                    try:
-                        if not done.is_set():
-                            self._drain_once(deadline)
-                    finally:
-                        self._drain_lock.release()
-                else:
-                    # another thread is draining; it will deposit our reply
-                    done.wait(0.02)
-        finally:
-            with self._pending_lock:
-                self._pending.pop(corr, None)
-        reply = slot["reply"]
+        except RpcTimeout:
+            self.timeouts += 1
+            raise
+        reply = decode_wire(data)
         err = reply.get("err")
         if err is not None:
             raise RpcRemoteError(
@@ -192,27 +175,3 @@ class RpcClient:
                 remote_type=err.get("type", "Exception"),
             )
         return reply.get("ok")
-
-    def _drain_once(self, deadline: float | None) -> None:
-        """Receive one reply and hand it to whichever call it answers.
-
-        Short receive slices keep takeover cheap: when the draining
-        thread's own reply lands it stops draining, and any still-waiting
-        thread picks up the role within one slice.
-        """
-        wait = 0.05
-        if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.monotonic()))
-        raw = self.bus.receive(self.reply_queue, wait)
-        if raw is None:
-            return
-        reply = decode_wire(raw)
-        with self._pending_lock:
-            entry = self._pending.get(reply.get("corr"))
-        if entry is None:
-            # late answer to a call that already timed out
-            self.stale_dropped += 1
-            return
-        event, slot = entry
-        slot["reply"] = reply
-        event.set()

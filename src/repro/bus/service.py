@@ -12,20 +12,16 @@ buggy front-end cannot leak another student's job across the bus.
 
 ``reply_latency_s`` models the control-plane round trip a real cluster
 imposes (the paper's portal talks to its cluster over a network; our
-distributor is an in-process simulation).  Replies are *scheduled* on a
-due-heap and delivered by the same loop — one thread, no per-request
-sleeps — so N outstanding requests from N front-end workers overlap
-their waits exactly the way they would against a remote master node.
-This is what the scale-out capacity model in
-``benchmarks/bench_scaleout.py`` measures.
+distributor is an in-process simulation).  Handlers run one at a time
+on the callers' threads (:class:`~repro.bus.rpc.RpcServer`), and each
+caller then sleeps the modelled latency outside the server's lock, so N
+outstanding requests from N front-end workers overlap their waits
+exactly the way they would against a remote master node.  This is what
+the scale-out capacity model in ``benchmarks/bench_scaleout.py``
+measures.
 """
 
 from __future__ import annotations
-
-import heapq
-import threading
-import time
-from typing import Optional
 
 from repro._errors import AuthorizationError, BusError, JobError
 from repro.bus.core import MessageBus
@@ -40,7 +36,7 @@ DEFAULT_SERVICE_QUEUE = "cluster.backend"
 
 
 class ClusterBackendService:
-    """Back-end service loop wrapping one distributor."""
+    """Back-end service wrapping one distributor."""
 
     def __init__(
         self,
@@ -48,15 +44,13 @@ class ClusterBackendService:
         distributor: JobDistributor,
         service_queue: str = DEFAULT_SERVICE_QUEUE,
         reply_latency_s: float = 0.0,
-        clock=time.monotonic,
     ) -> None:
         self.bus = bus
         self.distributor = distributor
         self.reply_latency_s = reply_latency_s
-        self._clock = clock
         #: declarative-spec management surface (describe / validate / apply)
         self.reconfigurer = Reconfigurer(distributor)
-        self.server = RpcServer(bus, service_queue)
+        self.server = RpcServer(bus, service_queue, reply_latency_s)
         for method, handler in (
             ("cluster.version", self._h_version),
             ("cluster.status", self._h_status),
@@ -77,58 +71,14 @@ class ClusterBackendService:
             ("service.stats", self._h_stats),
         ):
             self.server.register(method, handler)
-        # latency-shaped delivery: replies wait on a due-heap drained by
-        # the delivery thread (never sleep-per-reply — that would
-        # serialise the back-end and defeat multi-worker overlap).
-        self._due: list[tuple[float, int, str, str]] = []
-        self._due_seq = 0
-        self._due_cond = threading.Condition()
-        self._delivery: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        if reply_latency_s > 0:
-            self.server.on_reply = self._delayed_reply
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ClusterBackendService":
-        self.server.start(name="cluster-backend")
-        if self.reply_latency_s > 0:
-            self._stop.clear()
-            self._delivery = threading.Thread(
-                target=self._delivery_loop, daemon=True, name="backend-replies"
-            )
-            self._delivery.start()
+        self.server.start()
         return self
 
     def stop(self) -> None:
         self.server.stop()
-        self._stop.set()
-        with self._due_cond:
-            self._due_cond.notify()
-        if self._delivery is not None:
-            self._delivery.join(2.0)
-            self._delivery = None
-
-    # -- latency model --------------------------------------------------------
-    def _delayed_reply(self, queue: str, data: str) -> None:
-        with self._due_cond:
-            self._due_seq += 1
-            heapq.heappush(
-                self._due, (self._clock() + self.reply_latency_s, self._due_seq, queue, data)
-            )
-            self._due_cond.notify()
-
-    def _delivery_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._due_cond:
-                if not self._due:
-                    self._due_cond.wait(0.05)
-                    continue
-                now = self._clock()
-                if self._due[0][0] > now:
-                    self._due_cond.wait(self._due[0][0] - now)
-                    continue
-                _, _, queue, data = heapq.heappop(self._due)
-            self.bus.send(queue, data)
 
     # -- shared helpers --------------------------------------------------------
     def _job_for(self, params: dict) -> Job:
@@ -261,5 +211,4 @@ class ClusterBackendService:
             "requests_served": self.server.requests_served,
             "errors_returned": self.server.errors_returned,
             "reply_latency_s": self.reply_latency_s,
-            "replies_pending": len(self._due),
         }

@@ -6,8 +6,10 @@ cache, an admission controller — and reaches the cluster exclusively
 through a :class:`~repro.bus.proxy.ClusterProxy`.  The split follows
 the paper's deployment (portal web tier on one host, cluster master on
 another) and is what ``benchmarks/bench_scaleout.py`` measures: N
-workers overlap their independent RPC round trips, so aggregate
-capacity grows with the worker count until the CPU saturates.
+workers overlap their independent (modelled) RPC round trips, so
+aggregate capacity grows with the worker count until the CPU
+saturates.  An RPC runs the back-end handler on the request's own
+thread, one handler at a time across all workers.
 
 Cache freshness without shared memory
 -------------------------------------
@@ -72,8 +74,9 @@ SESSION_TOPIC = "portal.sessions"
 _COOKIE = "portal_session"
 
 #: bus failures come first so they outrank the generic ReproError → 400:
-#: a back-end that stopped answering is the *portal's* fault, not the
-#: client's — 503 tells pollers to back off and retry.
+#: a back-end that is stopped or stayed busy is the *portal's* fault, not
+#: the client's — 503 tells pollers to back off and retry, and the call
+#: it answers never ran, so the retry cannot duplicate a submission.
 _FRONTEND_ERROR_STATUS: list[tuple[type, int]] = [
     (RpcTimeout, 503),
     (BusError, 502),

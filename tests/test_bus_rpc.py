@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -69,6 +70,17 @@ class TestBusCore:
         assert seen == [("a", "hello"), ("b", "hello")]
         assert bus.publish("empty-topic", "x") == 0
 
+    def test_request_runs_the_server_on_the_callers_thread(self):
+        bus = MessageBus()
+        bus.serve("q", lambda message, timeout: (message, timeout, threading.get_ident()))
+        assert bus.request("q", "m", 1.5) == ("m", 1.5, threading.get_ident())
+        with pytest.raises(BusError, match="already has a server"):
+            bus.serve("q", lambda message, timeout: None)
+        bus.unserve("q")
+        with pytest.raises(RpcTimeout, match="no server"):
+            bus.request("q", "m")
+        assert bus.stats()["sent"] == 0
+
     def test_empty_queue_name_rejected(self):
         with pytest.raises(BusError):
             MessageBus().send("", "x")
@@ -103,17 +115,22 @@ class TestRpc:
         server = RpcServer(bus, "svc")
         server.register("echo", lambda p: p)
         server.register("boom", lambda p: (_ for _ in ()).throw(ValueError("bad")))
+        server.register("thread", lambda p: threading.current_thread().name)
         return server
 
     def test_request_reply_roundtrip(self):
+        """The handler runs on the caller's thread; the bus carries no message."""
         bus = MessageBus()
         server = self._server(bus)
-        client = RpcClient(bus, "svc")
-        done = threading.Thread(target=server.serve_step, args=(1.0,))
-        done.start()
-        assert client.call("echo", {"x": 1}, timeout=2.0) == {"x": 1}
-        done.join()
-        assert server.requests_served == 1
+        server.start()
+        try:
+            client = RpcClient(bus, "svc")
+            assert client.call("echo", {"x": 1}, timeout=2.0) == {"x": 1}
+            assert client.call("thread") == threading.current_thread().name
+        finally:
+            server.stop()
+        assert server.requests_served == 2
+        assert bus.stats()["sent"] == 0 and bus.depth("svc") == 0
 
     def test_remote_error_carries_type(self):
         bus = MessageBus()
@@ -132,31 +149,131 @@ class TestRpc:
         assert server.errors_returned == 2
 
     def test_timeout_when_nobody_serves(self):
+        """No server: the call fails at once, not after its timeout."""
         bus = MessageBus()
         client = RpcClient(bus, "svc")
+        t0 = time.perf_counter()
         with pytest.raises(RpcTimeout):
-            client.call("echo", timeout=0.05)
+            client.call("echo", timeout=10.0)
+        assert time.perf_counter() - t0 < 0.5
         assert client.timeouts == 1
-
-    def test_stale_reply_from_timed_out_call_is_dropped(self):
-        """A late reply to call N must not satisfy call N+1."""
-        bus = MessageBus()
-        client = RpcClient(bus, "svc")
-        with pytest.raises(RpcTimeout):
-            client.call("echo", {"n": 1}, timeout=0.05)
-        # the late reply for corr=1 lands just before call 2 looks
-        bus.send(client.reply_queue, encode_wire({"corr": 1, "ok": "stale"}))
         server = self._server(bus)
         server.start()
+        assert client.call("echo", {"n": 1}) == {"n": 1}
+        server.stop()
+        with pytest.raises(RpcTimeout):
+            client.call("echo", timeout=10.0)
+        assert client.timeouts == 2
+
+    def test_busy_server_times_out_without_running_the_handler(self):
+        bus = MessageBus()
+        server = self._server(bus)
+        entered, release = threading.Event(), threading.Event()
+        ran: list = []
+
+        def slow(params):
+            entered.set()
+            release.wait(5.0)
+            return "slow"
+
+        server.register("slow", slow)
+        server.register("record", lambda p: ran.append(p["n"]) or p["n"])
+        server.start()
         try:
-            assert client.call("echo", {"n": 2}, timeout=2.0) == {"n": 2}
+            client = RpcClient(bus, "svc")
+            holder = threading.Thread(target=client.call, args=("slow",))
+            holder.start()
+            assert entered.wait(5.0)
+            with pytest.raises(RpcTimeout, match="busy"):
+                client.call("record", {"n": 1}, timeout=0.05)
+            assert ran == [] and client.timeouts == 1
+            release.set()
+            holder.join(5.0)
+            assert not holder.is_alive()
+            assert client.call("record", {"n": 2}) == 2
+            assert ran == [2]
         finally:
+            release.set()
             server.stop()
 
-    def test_clients_have_private_reply_queues(self):
+    def test_stop_lets_no_waiting_call_run(self):
+        """A call queued behind a running handler when the server stops
+        times out instead of running after ``stop``."""
         bus = MessageBus()
-        a, b = RpcClient(bus, "svc"), RpcClient(bus, "svc")
-        assert a.reply_queue != b.reply_queue
+        server = self._server(bus)
+        entered, release = threading.Event(), threading.Event()
+        ran: list = []
+        server.register("slow", lambda p: entered.set() or release.wait(5.0))
+        server.register("record", lambda p: ran.append(1))
+        server.start()
+        client = RpcClient(bus, "svc")
+        holder = threading.Thread(target=client.call, args=("slow",))
+        holder.start()
+        assert entered.wait(5.0)
+        outcome: list = []
+
+        def waiter():
+            try:
+                client.call("record", timeout=5.0)
+                outcome.append("ran")
+            except RpcTimeout:
+                outcome.append("timeout")
+
+        waiting = threading.Thread(target=waiter)
+        waiting.start()
+        time.sleep(0.05)  # let it block on the server's lock
+        stopper = threading.Thread(target=server.stop, args=(5.0,))
+        stopper.start()
+        time.sleep(0.05)
+        release.set()
+        for t in (holder, waiting, stopper):
+            t.join(5.0)
+            assert not t.is_alive()
+        assert outcome == ["timeout"] and ran == []
+
+    def test_shared_client_serialises_handlers_and_routes_each_reply(self):
+        """8 threads x 200 calls through one client: handlers never overlap,
+        and every caller gets its own payload back."""
+        bus = MessageBus()
+        server = RpcServer(bus, "svc")
+        guard = threading.Lock()
+        state = {"active": 0, "overlaps": 0}
+
+        def echo(params):
+            with guard:
+                state["active"] += 1
+                state["overlaps"] += state["active"] > 1
+            time.sleep(0)  # invite a switch while "inside" the handler
+            with guard:
+                state["active"] -= 1
+            return params
+
+        server.register("echo", echo)
+        server.start()
+        client = RpcClient(bus, "svc")
+        wrong: list = []
+
+        def caller(t):
+            for i in range(200):
+                payload = {"thread": t, "i": i}
+                if client.call("echo", payload, timeout=10.0) != payload:
+                    wrong.append(payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert state["overlaps"] == 0
+        assert server.requests_served == 8 * 200
 
     def test_double_start_rejected(self):
         bus = MessageBus()
@@ -165,6 +282,8 @@ class TestRpc:
         try:
             with pytest.raises(BusError):
                 server.start()
+            with pytest.raises(BusError, match="already has a server"):
+                self._server(bus).start()
         finally:
             server.stop()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -186,18 +187,58 @@ class TestCachedReads:
 
 class TestFrontendResilience:
     def test_backend_outage_maps_to_503_with_retry_after(self):
-        # a fleet whose back-end service was never started: RPCs time out
-        fleet = FrontendFleet(_make_distributor(), n_workers=1, rpc_timeout_s=0.05)
+        # a fleet whose back-end service was never started: with nobody
+        # serving, the RPC fails at once, not after the 10 s default timeout
+        fleet = FrontendFleet(_make_distributor(), n_workers=1)
         fleet.users.add_user("alice", "secret123")
         worker = fleet.workers[0]
         client = PortalClient(app=worker)
         client.login("alice", "secret123")  # local: sessions live on the worker
+        t0 = time.perf_counter()
         status, headers, _body = client._transport.request(
             "GET", "/api/cluster/status", b"",
             {"Authorization": f"Bearer {client._token}"},
         )
+        assert time.perf_counter() - t0 < 0.5
         assert status == 503
         assert headers.get("Retry-After") == "1"
+
+    def test_rpc_timeout_means_the_submit_never_ran(self):
+        """A 503 from a busy back end created no job, so the retry makes one."""
+        dist = _make_distributor()
+        fleet = FrontendFleet(dist, n_workers=2, rpc_timeout_s=0.1).start()
+        try:
+            fleet.users.add_user("alice", "secret123")
+            server = fleet.service.server
+            status_handler = server._handlers["cluster.status"]
+            entered, release = threading.Event(), threading.Event()
+
+            def slow_status(params):
+                entered.set()
+                release.wait(5.0)
+                return status_handler(params)
+
+            server.register("cluster.status", slow_status)
+            poller = _client(fleet.workers[0])
+            holder = threading.Thread(target=poller.cluster_status)
+            holder.start()
+            assert entered.wait(5.0)
+            submitter = _client(fleet.workers[1])
+            spec = json.dumps({"name": "once", "argv": ["true"]}).encode()
+            hdrs = {"Authorization": f"Bearer {submitter._token}",
+                    "Content-Type": "application/json"}
+            status, headers, _ = submitter._transport.request("POST", "/api/jobs", spec, hdrs)
+            assert status == 503 and headers.get("Retry-After")
+            assert dist.jobs == {}
+            release.set()
+            holder.join(5.0)
+            assert not holder.is_alive()
+            status, _, _ = submitter._transport.request("POST", "/api/jobs", spec, hdrs)
+            assert status == 201
+            assert [j.request.name for j in dist.jobs.values()] == ["once"]
+        finally:
+            release.set()
+            fleet.stop()
 
     def test_admission_shields_the_worker(self):
         fleet = FrontendFleet(
