@@ -193,7 +193,7 @@ def test_p3_overload_sheds_not_collapses(report):
                 assert rh.get("Retry-After"), "shed responses must carry Retry-After"
             else:
                 served += 1
-        stats = worker.stats()["admission"]
+        stats = worker.stats()["portal"]["admission"]
         report(
             "p3_overload_shedding",
             "Overload behaviour at max_inflight=1, queue_limit=1 (1s closed loop)\n"

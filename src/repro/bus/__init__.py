@@ -9,23 +9,25 @@ messaging boundary:
 * :mod:`repro.bus.rpc` — RPC on the bus's request/reply primitive, run
   on the caller's thread: JSON wire codec, one-at-a-time handlers,
   timeouts, remote-error propagation;
-* :mod:`repro.bus.service` — :class:`ClusterBackendService`, the
-  back-end service wrapping one :class:`JobDistributor`;
-* :mod:`repro.bus.proxy` — :class:`ClusterProxy`, the typed client
-  stub each front-end worker uses instead of holding the distributor.
+* :mod:`repro.bus.service` — :class:`LocalCluster`, the cluster port
+  over one in-process :class:`JobDistributor` (and the single ownership
+  check), and :class:`ClusterBackendService`, which serves it over RPC;
+* :mod:`repro.bus.proxy` — :class:`ClusterProxy`, the same port as
+  RPCs: what each front-end worker holds instead of the distributor.
 """
 
 from repro._errors import BusError, RpcRemoteError, RpcTimeout
 from repro.bus.core import InMemoryBackend, MessageBus
 from repro.bus.proxy import ClusterProxy
 from repro.bus.rpc import RpcClient, RpcServer, decode_wire, encode_wire
-from repro.bus.service import ClusterBackendService
+from repro.bus.service import ClusterBackendService, LocalCluster
 
 __all__ = [
     "BusError",
     "ClusterBackendService",
     "ClusterProxy",
     "InMemoryBackend",
+    "LocalCluster",
     "MessageBus",
     "RpcClient",
     "RpcRemoteError",

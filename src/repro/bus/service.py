@@ -1,14 +1,25 @@
-"""The cluster back-end service: one distributor behind an RPC queue.
+"""The cluster port, and the back-end service that serves it over the bus.
+
+:class:`LocalCluster` is the *cluster port* over an in-process
+:class:`JobDistributor`: the method set the portal reaches the cluster
+through — freshness probe, status, submit, describe, output polling,
+input, cancel, fleet and spec.  :class:`~repro.bus.proxy.ClusterProxy`
+implements the same methods, with the same signatures, as RPCs, so one
+:class:`~repro.portal.app.PortalApp` runs over either transport: the
+monolith holds a ``LocalCluster`` (zero hops), a scale-out worker holds a
+``ClusterProxy``.
+
+Ownership is enforced in :meth:`LocalCluster.job`, once, for both
+transports: every job method takes the calling user and a ``view_all``
+capability flag, so a buggy front-end cannot leak another student's job
+across the bus.
 
 :class:`ClusterBackendService` is the only thing on the cluster side of
-the bus.  It owns a :class:`JobDistributor` and serves the narrow
-method surface the front-end tier needs — submit, describe, output
-polling, cancel, and the tiny ``cluster.version`` freshness probe the
-front-ends revalidate their response caches with.
-
-Ownership is enforced *here*, not just at the front-ends: every job
-method takes the calling user and a ``view_all`` capability flag, so a
-buggy front-end cannot leak another student's job across the bus.
+the bus.  It checks what arrives off the wire (a submitted ``request``
+must be an object with an owner, a reconfigure's ``spec`` an object,
+``since`` an integer) and hands each RPC to the matching
+``LocalCluster`` method, which also enforces the ``manage_cluster``
+capability a reconfigure asserts.
 
 ``reply_latency_s`` models the control-plane round trip a real cluster
 imposes (the paper's portal talks to its cluster over a network; our
@@ -30,13 +41,139 @@ from repro.cluster.distributor import JobDistributor
 from repro.cluster.job import Job, JobRequest
 from repro.spec import Reconfigurer, validate as validate_spec
 
-__all__ = ["ClusterBackendService", "DEFAULT_SERVICE_QUEUE"]
+__all__ = ["ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster"]
 
 DEFAULT_SERVICE_QUEUE = "cluster.backend"
 
 
+class LocalCluster:
+    """The cluster port over an in-process distributor (the zero-hop transport)."""
+
+    def __init__(self, distributor: JobDistributor) -> None:
+        self.distributor = distributor
+        #: declarative-spec management surface (describe / validate / apply)
+        self.reconfigurer = Reconfigurer(distributor)
+
+    def job(self, owner: str, job_id: str, view_all: bool = False) -> Job:
+        """The live job ``owner`` may see: the one ownership check."""
+        job = self.distributor.job(job_id)
+        if job.request.owner != owner and not view_all:
+            raise AuthorizationError(f"job {job_id} belongs to {job.request.owner!r}")
+        return job
+
+    # -- cluster-wide ---------------------------------------------------------
+    def control_state(self) -> tuple[int, int]:
+        """The (version, cores_free) cache-freshness fingerprint."""
+        dist = self.distributor
+        return dist.version, dist.grid.cores_free
+
+    def status(self) -> dict:
+        return self.distributor.stats()
+
+    def fleet_status(self) -> dict:
+        """Elastic-fleet snapshot (``{"enabled": False}`` when unmanaged)."""
+        fleet = self.distributor.fleet
+        return {"enabled": False} if fleet is None else fleet.snapshot()
+
+    def fleet_log(self) -> list[dict]:
+        """The fleet manager's bounded scaling-decision log."""
+        fleet = self.distributor.fleet
+        return [] if fleet is None else fleet.decision_log()
+
+    # -- declarative spec ------------------------------------------------------
+    def spec_describe(self) -> dict:
+        """The live deployment as a spec document."""
+        return self.reconfigurer.describe()
+
+    def spec_validate(self, doc: dict) -> dict:
+        """Collect-all validation report for ``doc`` (never raises)."""
+        return validate_spec(doc, source="request").as_dict()
+
+    def spec_reconfigure(self, doc: dict, apply: bool = False, manage: bool = False) -> dict:
+        """Plan (default) or apply ``doc``; ``manage`` asserts the caller's
+        ``manage_cluster`` capability."""
+        if not manage:
+            raise AuthorizationError("cluster.spec.reconfigure needs manage_cluster")
+        if not apply:
+            return {"applied": False, "plan": self.reconfigurer.plan(doc).as_dict()}
+        return {"applied": True, **self.reconfigurer.apply(doc)}
+
+    # -- jobs -----------------------------------------------------------------
+    def submit(self, request: JobRequest) -> dict:
+        """Submit; returns the new job's ``describe()``."""
+        return self.distributor.submit(request).describe()
+
+    def describe(self, owner: str, job_id: str, view_all: bool = False) -> dict:
+        return self.job(owner, job_id, view_all).describe()
+
+    def list_jobs(self, owner: str, view_all: bool = False) -> list[dict]:
+        """``owner``'s jobs (every job with ``view_all``), oldest first."""
+        jobs = self.distributor.jobs.values()
+        if not view_all:
+            jobs = [j for j in jobs if j.request.owner == owner]
+        return [j.describe() for j in jobs]
+
+    def output_since(
+        self, owner: str, job_id: str, since: int = 0, view_all: bool = False
+    ) -> dict:
+        """Poll stdout/stderr from absolute line offset ``since``."""
+        job = self.job(owner, job_id, view_all)
+        out, out_next, out_trunc = job.stdout.read_since(since)
+        return {
+            "state": job.state.value,
+            "stdout": out,
+            "next": out_next,
+            "truncated": out_trunc,
+            # tail() copies just the 50 lines shown, not the whole buffer
+            "stderr_tail": job.stderr.tail(50),
+            "exit_code": job.exit_code,
+            "error": job.error,
+            "attempt": job.attempt_epoch,
+            "retries": max(0, job.attempt_epoch - 1),
+            "attempts": [a.as_dict() for a in job.attempts],
+        }
+
+    def output_fingerprint(self, owner: str, job_id: str, view_all: bool = False) -> tuple:
+        """Cheap change-detector for a job's describe and output.
+
+        Any visible change to :meth:`describe` or :meth:`output_since`
+        moves at least one of these fields, so the portal can key its
+        response cache on the tuple and serve 304s to repeat pollers of a
+        quiet job.  Doubles as the ownership check for those polls.
+        """
+        job = self.job(owner, job_id, view_all)
+        return (
+            job.state.value,
+            job.stdout.next_index,
+            job.stderr.next_index,
+            job.exit_code,
+            # A retry changes the lineage even when the streams are quiet.
+            job.attempt_epoch,
+            len(job.attempts),
+        )
+
+    def send_input(self, owner: str, job_id: str, text: str, view_all: bool = False) -> None:
+        """Feed stdin to an interactive job."""
+        job = self.job(owner, job_id, view_all)
+        if job.stdin.closed:
+            raise JobError(f"job {job_id} does not accept input (not interactive or finished)")
+        job.stdin.write(text)
+
+    def cancel(self, owner: str, job_id: str, view_all: bool = False) -> bool:
+        return self.distributor.cancel(self.job(owner, job_id, view_all).id)
+
+
+def _job_args(params: dict) -> tuple[str, str, bool]:
+    """``(owner, job_id, view_all)`` off the wire."""
+    return (
+        str(params.get("owner", "")),
+        str(params.get("job_id", "")),
+        bool(params.get("view_all")),
+    )
+
+
 class ClusterBackendService:
-    """Back-end service wrapping one distributor."""
+    """Back-end service: a :class:`LocalCluster` behind an RPC queue."""
 
     def __init__(
         self,
@@ -47,27 +184,27 @@ class ClusterBackendService:
     ) -> None:
         self.bus = bus
         self.distributor = distributor
+        self.cluster = cluster = LocalCluster(distributor)
         self.reply_latency_s = reply_latency_s
-        #: declarative-spec management surface (describe / validate / apply)
-        self.reconfigurer = Reconfigurer(distributor)
         self.server = RpcServer(bus, service_queue, reply_latency_s)
         for method, handler in (
             ("cluster.version", self._h_version),
-            ("cluster.status", self._h_status),
+            ("cluster.status", lambda p: cluster.status()),
             ("cluster.checkpoint", self._h_checkpoint),
-            ("cluster.durability", self._h_durability),
-            ("cluster.fleet", self._h_fleet),
-            ("cluster.fleet.log", self._h_fleet_log),
-            ("cluster.spec.describe", self._h_spec_describe),
-            ("cluster.spec.validate", self._h_spec_validate),
+            ("cluster.durability", lambda p: distributor.durability_stats()),
+            ("cluster.fleet", lambda p: cluster.fleet_status()),
+            ("cluster.fleet.log", lambda p: cluster.fleet_log()),
+            ("cluster.spec.describe", lambda p: cluster.spec_describe()),
+            ("cluster.spec.validate", lambda p: cluster.spec_validate(p.get("spec"))),
             ("cluster.spec.reconfigure", self._h_spec_reconfigure),
             ("jobs.submit", self._h_submit),
-            ("jobs.describe", self._h_describe),
-            ("jobs.list", self._h_list),
+            ("jobs.describe", lambda p: cluster.describe(*_job_args(p))),
+            ("jobs.list", lambda p: cluster.list_jobs(
+                str(p.get("owner", "")), bool(p.get("view_all")))),
             ("jobs.output", self._h_output),
-            ("jobs.fingerprint", self._h_fingerprint),
+            ("jobs.fingerprint", lambda p: cluster.output_fingerprint(*_job_args(p))),
             ("jobs.input", self._h_input),
-            ("jobs.cancel", self._h_cancel),
+            ("jobs.cancel", lambda p: {"ok": cluster.cancel(*_job_args(p))}),
             ("service.stats", self._h_stats),
         ):
             self.server.register(method, handler)
@@ -80,22 +217,10 @@ class ClusterBackendService:
     def stop(self) -> None:
         self.server.stop()
 
-    # -- shared helpers --------------------------------------------------------
-    def _job_for(self, params: dict) -> Job:
-        job = self.distributor.job(str(params.get("job_id", "")))
-        owner = str(params.get("owner", ""))
-        if job.request.owner != owner and not params.get("view_all"):
-            raise AuthorizationError(
-                f"job {job.id} belongs to {job.request.owner!r}"
-            )
-        return job
-
-    # -- handlers ---------------------------------------------------------------
+    # -- handlers that check the wire or are back-end only ---------------------
     def _h_version(self, params: dict) -> dict:
-        return self.distributor.control_state()
-
-    def _h_status(self, params: dict) -> dict:
-        return self.distributor.stats()
+        version, cores_free = self.cluster.control_state()
+        return {"version": version, "cores_free": cores_free}
 
     def _h_checkpoint(self, params: dict) -> dict:
         """Force a snapshot + compaction now (admin surface, e.g. pre-upgrade)."""
@@ -103,49 +228,13 @@ class ClusterBackendService:
             raise JobError("cluster runs without a journal; nothing to checkpoint")
         return self.distributor.checkpoint()
 
-    def _h_durability(self, params: dict) -> dict:
-        return self.distributor.durability_stats()
-
-    def _h_fleet(self, params: dict) -> dict:
-        """Fleet snapshot (pools, sizes, pending, node-seconds)."""
-        fleet = self.distributor.fleet
-        if fleet is None:
-            return {"enabled": False}
-        return fleet.snapshot()
-
-    def _h_fleet_log(self, params: dict) -> list[dict]:
-        """The fleet manager's bounded decision log (admin surface)."""
-        fleet = self.distributor.fleet
-        if fleet is None:
-            return []
-        return fleet.decision_log()
-
-    def _h_spec_describe(self, params: dict) -> dict:
-        """The live deployment serialised as a spec document."""
-        return self.reconfigurer.describe()
-
-    def _h_spec_validate(self, params: dict) -> dict:
-        """Collect-all validation of ``params["spec"]`` (never raises)."""
-        doc = params.get("spec")
-        return validate_spec(doc, source="bus").as_dict()
-
     def _h_spec_reconfigure(self, params: dict) -> dict:
-        """Plan (default) or apply ``params["spec"]`` to the live cluster.
-
-        Capability enforcement happens here, mirroring the job surface:
-        callers must send ``manage: true`` (front-ends set it only for
-        users holding ``manage_cluster``).
-        """
-        if not params.get("manage"):
-            raise AuthorizationError("cluster.spec.reconfigure needs manage_cluster")
         doc = params.get("spec")
         if not isinstance(doc, dict):
             raise BusError("cluster.spec.reconfigure needs a 'spec' object")
-        if not params.get("apply"):
-            plan = self.reconfigurer.plan(doc)
-            return {"applied": False, "plan": plan.as_dict()}
-        result = self.reconfigurer.apply(doc)
-        return {"applied": True, **result}
+        return self.cluster.spec_reconfigure(
+            doc, bool(params.get("apply")), bool(params.get("manage"))
+        )
 
     def _h_submit(self, params: dict) -> dict:
         wire = params.get("request")
@@ -154,56 +243,20 @@ class ClusterBackendService:
         request = JobRequest.from_wire(wire)
         if not request.owner:
             raise JobError("submissions over the bus must carry an owner")
-        return self.distributor.submit(request).describe()
-
-    def _h_describe(self, params: dict) -> dict:
-        return self._job_for(params).describe()
-
-    def _h_list(self, params: dict) -> list[dict]:
-        jobs = self.distributor.jobs.values()
-        if not params.get("view_all"):
-            owner = str(params.get("owner", ""))
-            jobs = [j for j in jobs if j.request.owner == owner]
-        return [j.describe() for j in jobs]
+        return self.cluster.submit(request)
 
     def _h_output(self, params: dict) -> dict:
-        job = self._job_for(params)
-        since = int(params.get("since", 0))
-        out, out_next, out_trunc = job.stdout.read_since(since)
-        return {
-            "state": job.state.value,
-            "stdout": out,
-            "next": out_next,
-            "truncated": out_trunc,
-            "stderr_tail": job.stderr.tail(50),
-            "exit_code": job.exit_code,
-            "error": job.error,
-            "attempt": job.attempt_epoch,
-            "retries": max(0, job.attempt_epoch - 1),
-            "attempts": [a.as_dict() for a in job.attempts],
-        }
-
-    def _h_fingerprint(self, params: dict) -> list:
-        job = self._job_for(params)
-        return [
-            job.state.value,
-            job.stdout.next_index,
-            job.stderr.next_index,
-            job.exit_code,
-            job.attempt_epoch,
-            len(job.attempts),
-        ]
+        owner, job_id, view_all = _job_args(params)
+        try:
+            since = int(params.get("since", 0))
+        except (TypeError, ValueError):
+            raise BusError("jobs.output needs an integer 'since'") from None
+        return self.cluster.output_since(owner, job_id, since, view_all)
 
     def _h_input(self, params: dict) -> dict:
-        job = self._job_for(params)
-        if job.stdin.closed:
-            raise JobError(f"job {job.id} does not accept input")
-        job.stdin.write(str(params.get("text", "")))
+        owner, job_id, view_all = _job_args(params)
+        self.cluster.send_input(owner, job_id, str(params.get("text", "")), view_all)
         return {"ok": True}
-
-    def _h_cancel(self, params: dict) -> dict:
-        job = self._job_for(params)
-        return {"ok": self.distributor.cancel(job.id)}
 
     def _h_stats(self, params: dict) -> dict:
         return {

@@ -14,13 +14,11 @@ know *why* a node is unavailable.  Retry backoff is likewise handled
 before policies run: :func:`ready_for_dispatch` filters jobs whose
 ``not_before`` lies in the future out of the round's queue snapshot.
 
-Free capacity is read through a *capacity view* — either the legacy
-:class:`_Shadow` (a full per-round rebuild that snapshots every node) or
-the incremental :class:`CapacityView` (O(1) setup over the grid's live
-index, with a per-round overlay of tentative takes).  Both expose the
-same interface and produce identical placements; the distributor passes
-a :class:`CapacityView` per round, while direct ``select()`` calls fall
-back to a fresh ``_Shadow`` so standalone use keeps working.
+Free capacity is read through a :class:`CapacityView` (O(1) setup over
+the grid's live index, with a per-round overlay of tentative takes).
+The distributor passes one per round; a direct ``select()`` call builds
+a fresh one, which is safe because a node that is not up already reads
+zero free cores through the index.
 
 Three policies, ablated in ``benchmarks/bench_cluster.py``:
 
@@ -107,54 +105,6 @@ class RunningEstimates(list):
     """
 
     presorted = True
-
-
-class _Shadow:
-    """Free-capacity view rebuilt from scratch (the pre-index reference).
-
-    Walks every up node at construction — O(nodes) per scheduling round.
-    Kept as the reference implementation the equivalence tests replay
-    against; the hot path uses :class:`CapacityView` instead.
-    """
-
-    def __init__(self, grid: Grid) -> None:
-        self.grid = grid
-        self.cores: dict[str, int] = {}
-        self.memory: dict[str, int] = {}
-        self._seg_free: dict[str, int] = {s.name: 0 for s in grid.segments}
-        self._total = 0
-        self.probes = 0
-        for n in grid.up_compute_nodes():
-            self.cores[n.name] = n.cores_free
-            self.memory[n.name] = n.memory_free_mb
-            self._seg_free[n.segment] += n.cores_free
-            self._total += n.cores_free
-
-    def fits(self, node, cores: int, memory_mb: int, need_gpu: bool) -> bool:
-        if need_gpu and not node.spec.has_gpu:
-            return False
-        return (
-            self.cores.get(node.name, 0) >= cores
-            and self.memory.get(node.name, 0) >= memory_mb
-        )
-
-    def free(self, node) -> tuple[int, int]:
-        """(free cores, free memory) of ``node`` under this view."""
-        return self.cores.get(node.name, 0), self.memory.get(node.name, 0)
-
-    def seg_free_cores(self, seg) -> int:
-        """Total free cores in segment ``seg`` under this view."""
-        return self._seg_free.get(seg.name, 0)
-
-    def take(self, node_name: str, cores: int, memory_mb: int) -> None:
-        self.cores[node_name] -= cores
-        self.memory[node_name] -= memory_mb
-        self._seg_free[self.grid.node(node_name).segment] -= cores
-        self._total -= cores
-
-    @property
-    def total_free_cores(self) -> int:
-        return self._total
 
 
 class CapacityView:
@@ -311,8 +261,8 @@ class Scheduler:
             end-time-sorted already.
         view:
             Optional capacity view to schedule against (the distributor
-            passes an O(1)-setup :class:`CapacityView`); ``None`` builds
-            a fresh :class:`_Shadow` rebuild.
+            passes its per-round :class:`CapacityView`); ``None`` builds
+            a fresh one.
         """
         raise NotImplementedError
 
@@ -323,7 +273,7 @@ class FIFOScheduler(Scheduler):
     name = "fifo"
 
     def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+        shadow = view if view is not None else CapacityView(grid)
         picks: list[tuple[Job, Allocation]] = []
         for job in queue:
             plan = place_request(grid, job.request, shadow)
@@ -360,7 +310,7 @@ class PriorityScheduler(Scheduler):
         return job.request.priority + self.aging_rate * waited
 
     def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+        shadow = view if view is not None else CapacityView(grid)
         picks: list[tuple[Job, Allocation]] = []
         ordered = sorted(
             enumerate(queue),
@@ -395,7 +345,7 @@ class BackfillScheduler(Scheduler):
         pass
 
     def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+        shadow = view if view is not None else CapacityView(grid)
         picks: list[tuple[Job, Allocation]] = []
         queue = list(queue)
 

@@ -16,7 +16,12 @@ requirement Section II lists:
 * *monitoring the standard streams, and ... input* — offset-polling
   output endpoints and an interactive stdin endpoint.
 
-:class:`~repro.portal.app.PortalApp` wires it all into one WSGI callable;
+:class:`~repro.portal.app.PortalApp` wires it all into one WSGI callable
+that reaches the cluster through a *cluster port*: an in-process
+:class:`~repro.bus.service.LocalCluster` in the monolith
+(:func:`~repro.portal.app.make_default_app`), or a
+:class:`~repro.bus.proxy.ClusterProxy` over the bus in each worker of a
+scale-out :class:`~repro.portal.frontend.FrontendFleet`.
 :class:`~repro.portal.client.PortalClient` consumes the JSON API either
 in-process (tests) or over real HTTP (:mod:`~repro.portal.server`).
 """
@@ -30,7 +35,7 @@ from repro.portal.files import FileManager
 from repro.portal.jobsvc import JobService
 from repro.portal.admission import AdmissionController, AdmissionDecision
 from repro.portal.app import PortalApp, make_default_app
-from repro.portal.frontend import FrontendFleet, FrontendPortal, SessionReplicator
+from repro.portal.frontend import FrontendFleet, SessionReplicator
 from repro.portal.client import PortalClient
 from repro.portal.server import serve, start_fleet
 
@@ -51,7 +56,6 @@ __all__ = [
     "PortalApp",
     "make_default_app",
     "FrontendFleet",
-    "FrontendPortal",
     "SessionReplicator",
     "PortalClient",
     "serve",

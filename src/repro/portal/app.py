@@ -1,42 +1,64 @@
-"""The portal WSGI application: every endpoint, wired.
+"""The portal WSGI application: every endpoint, wired, over a cluster port.
 
-JSON API (all under ``/api``; cookie- or bearer-authenticated):
+:class:`PortalApp` reaches the cluster only through a *cluster port*:
+an in-process :class:`~repro.bus.service.LocalCluster` in the monolith
+(:func:`make_default_app`), or a :class:`~repro.bus.proxy.ClusterProxy`
+over the bus in a scale-out worker
+(:class:`~repro.portal.frontend.FrontendFleet`).  Both transports share
+one request path, one error table and one ownership check (in
+``LocalCluster``, behind the bus for a worker).
+
+JSON API (all under ``/api``; cookie- or bearer-authenticated).  Routes
+marked † need in-process state — the home directories, the toolchains,
+the live distributor — and are registered only when the app is given a
+:class:`~repro.portal.jobsvc.JobService`:
 
 ==========  =================================  ==========================================
 POST        /api/login                         {username, password} → session cookie
-POST        /api/logout                        end session
+POST        /api/logout                        end session (cookie or bearer token)
 GET         /api/whoami                        current user
 POST        /api/users                         create account (admin)
-GET         /api/files?path=                   directory listing
-GET         /api/files/content?path=           download file
-PUT         /api/files/content?path=           create/overwrite file (raw body)
-POST        /api/files/upload                  multipart upload (fields = files)
-POST        /api/files/mkdir                   {path}
-POST        /api/files/copy                    {src, dst}
-POST        /api/files/move                    {src, dst}
-POST        /api/files/rename                  {path, new_name}
-DELETE      /api/files?path=                   delete file/tree
-POST        /api/compile                       {path[, language]}
-POST        /api/lint                          {path} or {source} — static concurrency lint
-POST        /api/jobs                          {path, kind, n_tasks, ...} compile+lint+run
+POST        /api/password                      {old, new}
+GET         /api/files?path=                   † directory listing
+GET         /api/files/content?path=           † download file
+PUT         /api/files/content?path=           † create/overwrite file (raw body)
+POST        /api/files/upload                  † multipart upload (fields = files)
+POST        /api/files/mkdir                   † {path}
+POST        /api/files/copy                    † {src, dst}
+POST        /api/files/move                    † {src, dst}
+POST        /api/files/rename                  † {path, new_name}
+DELETE      /api/files?path=                   † delete file/tree
+POST        /api/compile                       † {path[, language]}
+POST        /api/lint                          † {path} or {source} — static concurrency lint
+POST        /api/jobs                          {path, kind, n_tasks, ...} compile+lint+run;
+                                               without a JobService: an argv job spec
 GET         /api/jobs                          this user's jobs
 GET         /api/jobs/<job_id>                 one job
 GET         /api/jobs/<job_id>/output?since=N  poll stdout/stderr
 POST        /api/jobs/<job_id>/input           {text} — interactive stdin
 POST        /api/jobs/<job_id>/cancel          cancel
+POST        /api/explore                       † schedule exploration of a lab program
+GET         /api/explore/<job_id>              † its finished report
 GET         /api/cluster/status                grid utilisation snapshot
-GET         /api/cluster/spec                  live config as a spec document
-POST        /api/cluster/validate              collect-all spec validation (always 200)
-POST        /api/cluster/reconfigure           {spec[, apply]} — plan / apply (instructor)
+GET         /api/cluster/accounting            † finished-job records (instructor)
+GET         /api/cluster/spec                  † live config as a spec document
+POST        /api/cluster/validate              † collect-all spec validation (always 200)
+POST        /api/cluster/reconfigure           † {spec[, apply]} — plan / apply (instructor)
 GET         /api/fleet                         elastic-fleet snapshot (pools, pending)
+GET         /api/quota                         † home-directory usage
 GET         /metrics                           Prometheus text format (unauthenticated)
-GET         /debug/trace/<job_id>              job span tree (HTML, or ?format=json)
+GET         /debug/trace/<job_id>              † job span tree (HTML, or ?format=json)
 GET         /debug/requests                    recent request traces (admin)
-GET         /debug/events                      structured event log (admin)
+GET         /debug/events                      † structured event log (admin)
 GET         /debug/fleet                       fleet scaling-decision log (admin)
 ==========  =================================  ==========================================
 
-HTML pages: ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``.
+HTML pages (†): ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``,
+``GET /jobs/<job_id>``, ``POST /jobs/<job_id>/input``.
+
+The spec routes stay in-process because the monolith's
+:class:`~repro.spec.Reconfigurer` also retunes this app's admission
+controller and toolchains, which the back end cannot reach.
 """
 
 from __future__ import annotations
@@ -48,16 +70,20 @@ from typing import Callable, Optional
 from repro._errors import (
     AuthenticationError,
     AuthorizationError,
+    BusError,
     CompilationError,
     FileManagerError,
     JobError,
     PortalError,
     ReproError,
+    RpcTimeout,
     SchedulingError,
     SpecError,
     ToolchainNotFound,
 )
+from repro.bus.service import LocalCluster
 from repro.cluster.distributor import JobDistributor
+from repro.cluster.job import JobRequest
 from repro.portal import templates
 from repro.portal.admission import (
     AdmissionController,
@@ -79,12 +105,19 @@ from repro.telemetry.export import (
     render_prometheus,
 )
 from repro.telemetry.instruments import AnalysisTelemetry, PortalTelemetry
+from repro.telemetry.registry import MetricsRegistry
 
 __all__ = ["PortalApp", "make_default_app"]
 
 _COOKIE = "portal_session"
 
+#: bus failures come first so they outrank the generic ReproError → 400:
+#: a back end that is stopped or stayed busy is the *portal's* fault, not
+#: the client's — 503 tells pollers to back off and retry, and the call
+#: it answers never ran, so the retry cannot duplicate a submission.
 _ERROR_STATUS: list[tuple[type, int]] = [
+    (RpcTimeout, 503),
+    (BusError, 502),
     (AuthenticationError, 401),
     (AuthorizationError, 403),
     (FileManagerError, 404),
@@ -102,54 +135,76 @@ class PortalApp:
 
     Parameters
     ----------
-    files, users, sessions, jobsvc:
-        The collaborating services. Use :func:`make_default_app` to get a
-        fully assembled portal over a simulated cluster.
+    users, sessions:
+        The account store and this process's session store.
+    proxy:
+        The cluster port: a :class:`~repro.bus.service.LocalCluster`, or
+        a :class:`~repro.bus.proxy.ClusterProxy` in a scale-out worker.
+    jobsvc:
+        The compile-and-run service; its presence registers the routes
+        that need in-process state (†), and the port must then be a
+        ``LocalCluster`` over the same distributor.
+    admission:
+        Front-door admission control; ``None`` admits everything.
+    cache_size:
+        Conditional-GET response cache entries; 0 disables it (ETags are
+        still emitted, every request renders fresh).
+    registry:
+        The metrics registry ``/metrics`` serves; ``None`` means a fresh
+        one of this app's own.
+    worker_id:
+        Adds a ``"worker"`` field to login and whoami replies.
+
+    Use :func:`make_default_app` to get a fully assembled portal over a
+    simulated cluster.
     """
 
     def __init__(
         self,
-        files: FileManager,
         users: UserStore,
         sessions: SessionStore,
-        jobsvc: JobService,
+        proxy,
+        jobsvc: Optional[JobService] = None,
+        admission: Optional[AdmissionController] = None,
         cache_size: int = 256,
         registry=None,
-        admission: Optional[AdmissionController] = None,
+        worker_id: Optional[str] = None,
     ) -> None:
-        self.files = files
         self.users = users
         self.sessions = sessions
+        self.proxy = proxy
         self.jobsvc = jobsvc
-        #: front-door admission control; ``None`` admits everything.
         self.admission = admission
+        self.worker_id = worker_id
         self.router = Router()
-        #: conditional-GET response cache; ``cache_size=0`` disables it
-        #: (ETags are still emitted, every request renders fresh).
         self.cache = ResponseCache(cache_size)
-        #: shares the distributor's registry by default so ``/metrics``
-        #: serves one unified snapshot of every subsystem.
-        self.registry = (
-            registry if registry is not None else jobsvc.distributor.telemetry.registry
-        )
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.telemetry = PortalTelemetry(self.registry)
-        #: static-analyzer counters; handed to the job service so both
-        #: the explicit lint endpoint and the pre-submit pass are tallied.
-        self.analysis_telemetry = AnalysisTelemetry(self.registry)
-        jobsvc.analysis_telemetry = self.analysis_telemetry
-        #: declarative-spec management: validate / describe / reconfigure
-        self.reconfigurer = Reconfigurer(
-            jobsvc.distributor, admission=admission, jobsvc=jobsvc
-        )
         self.telemetry.bind_router(self.router)
         self.telemetry.bind_sessions(sessions)
         self.cache.bind(self.registry)
         bind_admission(self.registry, admission)
         #: legacy counter key → registry child (same keys as the PR 2 dict).
         self._counters = self.telemetry.c
-        # file mutations invalidate the owning user's cached listings,
-        # file contents and dashboard in O(1)
-        files.on_mutation(lambda username: self.cache.invalidate(f"files:{username}"))
+        if jobsvc is not None:
+            if getattr(proxy, "distributor", None) is not jobsvc.distributor:
+                raise ValueError(
+                    "in-process routes need a LocalCluster over the JobService's distributor"
+                )
+            self.files: FileManager = jobsvc.files
+            #: static-analyzer counters; handed to the job service so both
+            #: the explicit lint endpoint and the pre-submit pass are tallied.
+            self.analysis_telemetry = AnalysisTelemetry(self.registry)
+            jobsvc.analysis_telemetry = self.analysis_telemetry
+            #: declarative-spec management: validate / describe / reconfigure
+            self.reconfigurer = Reconfigurer(
+                jobsvc.distributor, admission=admission, jobsvc=jobsvc
+            )
+            # file mutations invalidate the owning user's cached listings,
+            # file contents and dashboard in O(1)
+            self.files.on_mutation(
+                lambda username: self.cache.invalidate(f"files:{username}")
+            )
         self._register_routes()
 
     # -- WSGI entry ---------------------------------------------------------
@@ -182,6 +237,10 @@ class PortalApp:
         except ReproError as exc:
             status = next((s for t, s in _ERROR_STATUS if isinstance(exc, t)), 400)
             response = Response.error(status, str(exc))
+            if status == 503:
+                # the back end went quiet, not the client's fault: ask
+                # pollers to ease off while it recovers.
+                response.headers.append(("Retry-After", "1"))
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             response = Response.error(500, f"internal error: {type(exc).__name__}: {exc}")
         finally:
@@ -197,7 +256,7 @@ class PortalApp:
         """Portal-side counters, mirroring ``JobDistributor.stats()``.
 
         The dict shape is the PR 2 contract; the values are now derived
-        from the shared metrics registry (see ``GET /metrics``).
+        from the metrics registry (see ``GET /metrics``).
         """
         return {
             "portal": {
@@ -219,10 +278,9 @@ class PortalApp:
     ) -> Response:
         """Serve a cacheable GET with an ETag, honouring If-None-Match.
 
-        Delegates to the shared :func:`conditional_get` engine (also
-        used by the scale-out front-ends), which stores misses under the
-        generation observed at probe time so a racing invalidation can
-        never be clobbered by a stale render.
+        Delegates to the :func:`conditional_get` engine, which stores
+        misses under the generation observed at probe time so a racing
+        invalidation can never be clobbered by a stale render.
         """
         return conditional_get(self.cache, self._counters, req, namespace, key, build)
 
@@ -235,22 +293,21 @@ class PortalApp:
 
     def _handle(self, request: Request) -> Response:
         request.user = self._authenticate(request)
-        span = getattr(request, "tspan", None)
-        if span is None:
-            return self.router.dispatch(request)
-        clock = self.telemetry.clock
-        child = span.child("handler", clock())
-        response = self.router.dispatch(request)
-        child.finish(clock()).set(route=getattr(request, "route", None) or "unmatched")
-        return response
+        return self.router.dispatch(request)
 
     # -- auth middleware -------------------------------------------------------
-    def _authenticate(self, request: Request) -> Optional[User]:
+    @staticmethod
+    def _session_token(request: Request) -> str:
+        """The session token from the cookie, else a ``Bearer`` header."""
         token = request.cookies().get(_COOKIE)
         if not token:
             bearer = request.header("Authorization")
             if bearer.startswith("Bearer "):
                 token = bearer[len("Bearer ") :]
+        return token or ""
+
+    def _authenticate(self, request: Request) -> Optional[User]:
+        token = self._session_token(request)
         if not token:
             return None
         data = self.sessions.peek(token)
@@ -264,9 +321,14 @@ class PortalApp:
             raise AuthenticationError("login required")
         return request.user
 
+    def _owned_job(self, user: User, job_id: str):
+        """The live job ``user`` may see (in-process routes only)."""
+        return self.proxy.job(user.username, job_id, user.can("view_all_jobs"))
+
     # -- routes ------------------------------------------------------------------
     def _register_routes(self) -> None:
         r = self.router
+        local = self.jobsvc is not None
 
         # --- session ---
         r.add("POST", "/api/login", self._api_login)
@@ -275,7 +337,25 @@ class PortalApp:
         r.add("POST", "/api/users", self._api_create_user)
         r.add("POST", "/api/password", self._api_change_password)
 
-        # --- files ---
+        # --- jobs and cluster, through the port ---
+        r.add("POST", "/api/jobs", self._api_run if local else self._api_submit)
+        r.add("GET", "/api/jobs", self._api_list_jobs)
+        r.add("GET", "/api/jobs/<job_id>", self._api_get_job)
+        r.add("GET", "/api/jobs/<job_id>/output", self._api_job_output)
+        r.add("POST", "/api/jobs/<job_id>/input", self._api_job_input)
+        r.add("POST", "/api/jobs/<job_id>/cancel", self._api_job_cancel)
+        r.add("GET", "/api/cluster/status", self._api_cluster_status)
+        r.add("GET", "/api/fleet", self._api_fleet)
+
+        # --- observability ---
+        r.add("GET", "/metrics", self._metrics)
+        r.add("GET", "/debug/requests", self._debug_requests)
+        r.add("GET", "/debug/fleet", self._debug_fleet)
+
+        if not local:
+            return
+
+        # --- files (†) ---
         r.add("GET", "/api/files", self._api_list_files)
         r.add("DELETE", "/api/files", self._api_delete_file)
         r.add("GET", "/api/files/content", self._api_read_file)
@@ -285,36 +365,23 @@ class PortalApp:
         r.add("POST", "/api/files/copy", self._api_copy)
         r.add("POST", "/api/files/move", self._api_move)
         r.add("POST", "/api/files/rename", self._api_rename)
+        r.add("GET", "/api/quota", self._api_quota)
 
-        # --- compile & jobs ---
+        # --- compile, lint, explore (†) ---
         r.add("POST", "/api/compile", self._api_compile)
         r.add("POST", "/api/lint", self._api_lint)
-        r.add("POST", "/api/jobs", self._api_submit)
-        r.add("GET", "/api/jobs", self._api_list_jobs)
-        r.add("GET", "/api/jobs/<job_id>", self._api_get_job)
-        r.add("GET", "/api/jobs/<job_id>/output", self._api_job_output)
-        r.add("POST", "/api/jobs/<job_id>/input", self._api_job_input)
-        r.add("POST", "/api/jobs/<job_id>/cancel", self._api_job_cancel)
         r.add("POST", "/api/explore", self._api_explore)
         r.add("GET", "/api/explore/<job_id>", self._api_explore_report)
 
-        # --- cluster ---
-        r.add("GET", "/api/cluster/status", self._api_cluster_status)
+        # --- cluster management (†) ---
         r.add("GET", "/api/cluster/accounting", self._api_cluster_accounting)
         r.add("GET", "/api/cluster/spec", self._api_cluster_spec)
         r.add("POST", "/api/cluster/validate", self._api_cluster_validate)
         r.add("POST", "/api/cluster/reconfigure", self._api_cluster_reconfigure)
-        r.add("GET", "/api/fleet", self._api_fleet)
-        r.add("GET", "/api/quota", self._api_quota)
-
-        # --- observability ---
-        r.add("GET", "/metrics", self._metrics)
         r.add("GET", "/debug/trace/<job_id>", self._debug_trace)
-        r.add("GET", "/debug/requests", self._debug_requests)
         r.add("GET", "/debug/events", self._debug_events)
-        r.add("GET", "/debug/fleet", self._debug_fleet)
 
-        # --- HTML pages ---
+        # --- HTML pages (†) ---
         r.add("GET", "/", self._page_dashboard)
         r.add("GET", "/jobs/<job_id>", self._page_job)
         r.add("POST", "/jobs/<job_id>/input", self._page_job_input)
@@ -323,28 +390,34 @@ class PortalApp:
         r.add("POST", "/logout", self._page_logout)
 
     # -- session handlers -----------------------------------------------------------
+    def _with_worker(self, body: dict) -> dict:
+        if self.worker_id is not None:
+            body["worker"] = self.worker_id
+        return body
+
     def _api_login(self, req: Request) -> Response:
-        body = req.json()
+        body = req.json_object()
         user = self.users.authenticate(body.get("username", ""), body.get("password", ""))
         token = self.sessions.create({"username": user.username})
-        resp = Response.json({"ok": True, "username": user.username, "role": user.role,
-                              "token": token})
+        resp = Response.json(self._with_worker(
+            {"ok": True, "username": user.username, "role": user.role, "token": token}
+        ))
         return resp.set_cookie(_COOKIE, token)
 
     def _api_logout(self, req: Request) -> Response:
-        token = req.cookies().get(_COOKIE, "")
-        self.sessions.destroy(token)
+        self.sessions.destroy(self._session_token(req))
         return Response.json({"ok": True}).delete_cookie(_COOKIE)
 
     def _api_whoami(self, req: Request) -> Response:
         user = self._require_user(req)
-        return Response.json({"username": user.username, "role": user.role,
-                              "full_name": user.full_name})
+        return Response.json(self._with_worker(
+            {"username": user.username, "role": user.role, "full_name": user.full_name}
+        ))
 
     def _api_create_user(self, req: Request) -> Response:
         admin = self._require_user(req)
         admin.require("manage_users")
-        body = req.json()
+        body = req.json_object()
         user = self.users.add_user(
             body.get("username", ""),
             body.get("password", ""),
@@ -353,7 +426,103 @@ class PortalApp:
         )
         return Response.json({"ok": True, "username": user.username, "role": user.role}, status=201)
 
-    # -- file handlers ------------------------------------------------------------------
+    def _api_change_password(self, req: Request) -> Response:
+        user = self._require_user(req)
+        body = req.json_object()
+        self.users.change_password(user.username, body.get("old", ""), body.get("new", ""))
+        return Response.json({"ok": True})
+
+    # -- job handlers (through the port) ------------------------------------------------
+    def _api_submit(self, req: Request) -> Response:
+        """An argv job spec, for a portal without a JobService."""
+        user = self._require_user(req)
+        wire = dict(req.json_object())
+        wire["owner"] = user.username  # the session decides, not the body
+        try:
+            request = JobRequest.from_wire(wire)  # validate before crossing the bus
+        except (TypeError, ValueError) as exc:
+            raise HttpError(400, f"invalid job spec: {exc}") from None
+        return Response.json({"job": self.proxy.submit(request)}, status=201)
+
+    def _api_list_jobs(self, req: Request) -> Response:
+        user = self._require_user(req)
+        view_all = user.can("view_all_jobs")
+        version, _ = self.proxy.control_state()
+        key = ("jobs", user.username, view_all, version)
+        return self._conditional(
+            req,
+            "jobs",
+            key,
+            lambda: Response.json({"jobs": self.proxy.list_jobs(user.username, view_all)}),
+        )
+
+    def _api_get_job(self, req: Request) -> Response:
+        user = self._require_user(req)
+        job_id = req.params["job_id"]
+        view_all = user.can("view_all_jobs")
+        fp = self.proxy.output_fingerprint(user.username, job_id, view_all)
+        key = ("describe", job_id, fp)
+        return self._conditional(
+            req,
+            "jobs",
+            key,
+            lambda: Response.json(self.proxy.describe(user.username, job_id, view_all)),
+        )
+
+    def _api_job_output(self, req: Request) -> Response:
+        user = self._require_user(req)
+        job_id = req.params["job_id"]
+        try:
+            since = int(req.query.get("since", "0"))
+        except ValueError:
+            raise HttpError(400, "since must be an integer") from None
+        view_all = user.can("view_all_jobs")
+        # the fingerprint doubles as the ownership check: it raises
+        # AuthorizationError before any cached bytes could leak, and the
+        # key self-versions, so a quiet job serves 304s to its pollers
+        fp = self.proxy.output_fingerprint(user.username, job_id, view_all)
+        key = ("output", job_id, since, fp)
+        return self._conditional(
+            req,
+            "jobs",
+            key,
+            lambda: Response.json(
+                self.proxy.output_since(user.username, job_id, since, view_all)
+            ),
+        )
+
+    def _api_job_input(self, req: Request) -> Response:
+        user = self._require_user(req)
+        self.proxy.send_input(
+            user.username,
+            req.params["job_id"],
+            req.json_object().get("text", ""),
+            user.can("view_all_jobs"),
+        )
+        return Response.json({"ok": True})
+
+    def _api_job_cancel(self, req: Request) -> Response:
+        user = self._require_user(req)
+        ok = self.proxy.cancel(user.username, req.params["job_id"], user.can("view_all_jobs"))
+        return Response.json({"ok": ok})
+
+    def _api_cluster_status(self, req: Request) -> Response:
+        self._require_user(req)
+        # tiny freshness probe: version bumps on every job-state
+        # transition, cores_free catches out-of-band grid changes (fault
+        # injection); the full status render is paid only on a change
+        version, cores_free = self.proxy.control_state()
+        key = ("status", version, cores_free)
+        return self._conditional(
+            req, "cluster", key, lambda: Response.json(self.proxy.status())
+        )
+
+    def _api_fleet(self, req: Request) -> Response:
+        """Elastic-fleet snapshot: pools, sizes, pending scale, cost."""
+        self._require_user(req)
+        return Response.json(self.proxy.fleet_status())
+
+    # -- file handlers (†) -----------------------------------------------------------------
     def _api_list_files(self, req: Request) -> Response:
         user = self._require_user(req)
         path = req.query.get("path", "")
@@ -424,24 +593,24 @@ class PortalApp:
 
     def _api_mkdir(self, req: Request) -> Response:
         user = self._require_user(req)
-        self.files.mkdir(user.username, req.json().get("path", ""))
+        self.files.mkdir(user.username, req.json_object().get("path", ""))
         return Response.json({"ok": True}, status=201)
 
     def _api_copy(self, req: Request) -> Response:
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         self.files.copy(user.username, body.get("src", ""), body.get("dst", ""))
         return Response.json({"ok": True})
 
     def _api_move(self, req: Request) -> Response:
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         self.files.move(user.username, body.get("src", ""), body.get("dst", ""))
         return Response.json({"ok": True})
 
     def _api_rename(self, req: Request) -> Response:
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         new_path = self.files.rename(user.username, body.get("path", ""), body.get("new_name", ""))
         return Response.json({"ok": True, "path": new_path})
 
@@ -450,10 +619,19 @@ class PortalApp:
         self.files.delete(user.username, req.query.get("path", ""))
         return Response.json({"ok": True})
 
-    # -- compile & job handlers --------------------------------------------------------
+    def _api_quota(self, req: Request) -> Response:
+        user = self._require_user(req)
+        return Response.json(
+            {
+                "used_bytes": self.files.usage_bytes(user.username),
+                "quota_bytes": self.files.quota_bytes,
+            }
+        )
+
+    # -- compile, lint, run, explore (†) --------------------------------------------------
     def _api_compile(self, req: Request) -> Response:
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         report = self.jobsvc.compile(user, body.get("path", ""), body.get("language"))
         return Response.json(report, status=200 if report["ok"] else 400)
 
@@ -465,7 +643,7 @@ class PortalApp:
         advisory, the report itself says whether the program is clean.
         """
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         if body.get("source") is not None:
             report = self.jobsvc.lint_source(
                 str(body["source"]), str(body.get("path") or "<submission>")
@@ -476,9 +654,10 @@ class PortalApp:
             raise HttpError(400, "static analysis supports Python lab programs only")
         return Response.json(report.as_dict())
 
-    def _api_submit(self, req: Request) -> Response:
+    def _api_run(self, req: Request) -> Response:
+        """Compile a source file from the user's home and run it."""
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         report, job = self.jobsvc.run(
             user,
             body.get("path", ""),
@@ -515,7 +694,7 @@ class PortalApp:
         ``GET /api/explore/<job_id>`` for the finished report.
         """
         user = self._require_user(req)
-        body = req.json()
+        body = req.json_object()
         max_seconds = body.get("max_seconds", 30.0)
         job = self.jobsvc.explore(
             user,
@@ -529,58 +708,10 @@ class PortalApp:
 
     def _api_explore_report(self, req: Request) -> Response:
         user = self._require_user(req)
-        return Response.json(self.jobsvc.explore_report(user, req.params["job_id"]))
+        job = self._owned_job(user, req.params["job_id"])
+        return Response.json(self.jobsvc.explore_report(job))
 
-    def _api_list_jobs(self, req: Request) -> Response:
-        user = self._require_user(req)
-        return Response.json({"jobs": self.jobsvc.list_jobs(user)})
-
-    def _api_get_job(self, req: Request) -> Response:
-        user = self._require_user(req)
-        job = self.jobsvc.get_job(user, req.params["job_id"])
-        return Response.json(job.describe())
-
-    def _api_job_output(self, req: Request) -> Response:
-        user = self._require_user(req)
-        try:
-            since = int(req.query.get("since", "0"))
-        except ValueError:
-            raise HttpError(400, "since must be an integer") from None
-        # ownership check always runs; the fingerprint key self-versions,
-        # so a quiet completed job serves 304s to its pollers
-        job = self.jobsvc.get_job(user, req.params["job_id"])
-        key = ("output", job.id, since, self.jobsvc.output_fingerprint(job))
-        return self._conditional(
-            req, "jobs", key,
-            lambda: Response.json(self.jobsvc.output_since(user, job.id, since)),
-        )
-
-    def _api_job_input(self, req: Request) -> Response:
-        user = self._require_user(req)
-        self.jobsvc.send_input(user, req.params["job_id"], req.json().get("text", ""))
-        return Response.json({"ok": True})
-
-    def _api_job_cancel(self, req: Request) -> Response:
-        user = self._require_user(req)
-        ok = self.jobsvc.cancel(user, req.params["job_id"])
-        return Response.json({"ok": ok})
-
-    def _api_change_password(self, req: Request) -> Response:
-        user = self._require_user(req)
-        body = req.json()
-        self.users.change_password(user.username, body.get("old", ""), body.get("new", ""))
-        return Response.json({"ok": True})
-
-    def _api_cluster_status(self, req: Request) -> Response:
-        self._require_user(req)
-        dist = self.jobsvc.distributor
-        # version bumps on every job-state transition; cores_free catches
-        # out-of-band grid changes (fault injection)
-        key = ("status", dist.version, dist.grid.cores_free)
-        return self._conditional(
-            req, "cluster", key, lambda: Response.json(dist.stats())
-        )
-
+    # -- cluster management (†) -------------------------------------------------------------
     def _api_cluster_accounting(self, req: Request) -> Response:
         user = self._require_user(req)
         user.require("view_all_jobs")  # accounting spans every owner
@@ -613,7 +744,8 @@ class PortalApp:
 
         Accepts the document directly or wrapped as ``{"spec": doc}``.
         Always 200: the report itself says whether the spec is clean —
-        every violation carries its SPC-* rule id and document path.
+        every violation carries its SPC-* rule id and document path, and
+        a document that is not an object is itself a finding.
         """
         self._require_user(req)
         body = req.json()
@@ -630,7 +762,7 @@ class PortalApp:
         """
         user = self._require_user(req)
         user.require("manage_cluster")
-        body = req.json()
+        body = req.json_object()
         doc = body.get("spec")
         if not isinstance(doc, dict):
             raise HttpError(400, 'body must carry {"spec": {...}}')
@@ -657,26 +789,9 @@ class PortalApp:
         self.cache.invalidate("cluster")
         return Response.json({"ok": True, "applied": True, **result})
 
-    def _api_fleet(self, req: Request) -> Response:
-        """Elastic-fleet snapshot: pools, sizes, pending scale, cost."""
-        self._require_user(req)
-        fleet = self.jobsvc.distributor.fleet
-        if fleet is None:
-            return Response.json({"enabled": False})
-        return Response.json(fleet.snapshot())
-
-    def _api_quota(self, req: Request) -> Response:
-        user = self._require_user(req)
-        return Response.json(
-            {
-                "used_bytes": self.files.usage_bytes(user.username),
-                "quota_bytes": self.files.quota_bytes,
-            }
-        )
-
     # -- observability handlers --------------------------------------------------------
     def _metrics(self, req: Request) -> Response:
-        """Prometheus text exposition of the shared registry.
+        """Prometheus text exposition of this app's registry.
 
         Deliberately unauthenticated (scrapers don't log in) and
         deliberately *not* routed through :meth:`_conditional`: every
@@ -688,20 +803,6 @@ class PortalApp:
             render_prometheus(self.registry.snapshot()),
             content_type=PROMETHEUS_CONTENT_TYPE,
         )
-
-    def _debug_trace(self, req: Request) -> Response:
-        """Span tree for one job (owner or privileged viewer only).
-
-        Derived from the job's attempt lineage on demand, so it is
-        available for every job the distributor still knows — including
-        runs with telemetry disabled.
-        """
-        user = self._require_user(req)
-        job = self.jobsvc.get_job(user, req.params["job_id"])
-        root = self.jobsvc.distributor.telemetry.job_trace(job)
-        if req.query.get("format") == "json":
-            return Response.json({"job_id": job.id, "trace": root.as_dict()})
-        return Response.html(templates.trace_page(job.id, root.as_dict()))
 
     def _debug_requests(self, req: Request) -> Response:
         """Recent portal request traces (admin debugging)."""
@@ -719,10 +820,22 @@ class PortalApp:
         """The fleet manager's scaling-decision log (admin debugging)."""
         user = self._require_user(req)
         user.require("view_all_jobs")
-        fleet = self.jobsvc.distributor.fleet
-        if fleet is None:
-            return Response.json({"enabled": False, "decisions": []})
-        return Response.json({"enabled": True, "decisions": fleet.decision_log()})
+        enabled = bool(self.proxy.fleet_status().get("enabled"))
+        return Response.json({"enabled": enabled, "decisions": self.proxy.fleet_log()})
+
+    def _debug_trace(self, req: Request) -> Response:
+        """Span tree for one job (owner or privileged viewer only).
+
+        Derived from the job's attempt lineage on demand, so it is
+        available for every job the distributor still knows — including
+        runs with telemetry disabled.
+        """
+        user = self._require_user(req)
+        job = self._owned_job(user, req.params["job_id"])
+        root = self.jobsvc.distributor.telemetry.job_trace(job)
+        if req.query.get("format") == "json":
+            return Response.json({"job_id": job.id, "trace": root.as_dict()})
+        return Response.html(templates.trace_page(job.id, root.as_dict()))
 
     def _debug_events(self, req: Request) -> Response:
         """The distributor's structured event log (admin debugging)."""
@@ -734,7 +847,7 @@ class PortalApp:
         )
         return Response.json({"events": [e.as_dict() for e in events]})
 
-    # -- HTML page handlers ----------------------------------------------------------------
+    # -- HTML page handlers (†) ---------------------------------------------------------------
     def _page_dashboard(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
@@ -743,20 +856,20 @@ class PortalApp:
 
         def build() -> Response:
             files = [e.as_dict() for e in self.files.list_dir(user.username)]
-            jobs = self.jobsvc.list_jobs(user)
+            jobs = self.proxy.list_jobs(user.username, user.can("view_all_jobs"))
             cluster = dist.grid.snapshot()
             health = dist.health.snapshot() if dist.health is not None else None
             return Response.html(
                 templates.dashboard_page(user.username, files, jobs, cluster, health=health)
             )
 
-        key = ("dash", dist.version, dist.grid.cores_free)
+        key = ("dash", *self.proxy.control_state())
         return self._conditional(req, f"files:{user.username}", key, build)
 
     def _page_job(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
-        job = self.jobsvc.get_job(req.user, req.params["job_id"])
+        job = self._owned_job(req.user, req.params["job_id"])
         out, _, _ = job.stdout.text_since(0)
         err, _, _ = job.stderr.text_since(0)
         lint = self.jobsvc.lint_report(job.id)
@@ -768,7 +881,9 @@ class PortalApp:
         job_id = req.params["job_id"]
         text = req.form().get("text", "")
         if text:
-            self.jobsvc.send_input(req.user, job_id, text + "\n")
+            self.proxy.send_input(
+                req.user.username, job_id, text + "\n", req.user.can("view_all_jobs")
+            )
         return Response.redirect(f"/jobs/{job_id}")
 
     def _page_login(self, req: Request) -> Response:
@@ -784,8 +899,7 @@ class PortalApp:
         return Response.redirect("/").set_cookie(_COOKIE, token)
 
     def _page_logout(self, req: Request) -> Response:
-        token = req.cookies().get(_COOKIE, "")
-        self.sessions.destroy(token)
+        self.sessions.destroy(self._session_token(req))
         return Response.redirect("/login").delete_cookie(_COOKIE)
 
 
@@ -801,8 +915,9 @@ def make_default_app(
 
     Creates the grid (paper's 4×16 shape by default), a subprocess
     execution backend, the distributor, stores, and one ``admin``
-    account.  This is what ``examples/quickstart.py`` and the
-    integration tests call.
+    account.  The portal shares the distributor's metrics registry, so
+    ``/metrics`` serves one snapshot of every subsystem.  This is what
+    ``examples/quickstart.py`` and the integration tests call.
     """
     from repro.cluster.backends import SubprocessBackend
     from repro.cluster.grid import Grid
@@ -810,11 +925,15 @@ def make_default_app(
 
     grid = Grid(cluster_spec or ClusterSpec.uhd_default())
     distributor = JobDistributor(grid, SubprocessBackend())
-    files = FileManager(root_dir, quota_bytes=quota_bytes)
     users = UserStore()
     users.add_user("admin", admin_password, role="admin", full_name="Portal Administrator")
-    sessions = SessionStore()
-    jobsvc = JobService(files, distributor)
+    jobsvc = JobService(FileManager(root_dir, quota_bytes=quota_bytes), distributor)
     return PortalApp(
-        files, users, sessions, jobsvc, cache_size=cache_size, admission=admission
+        users,
+        SessionStore(),
+        LocalCluster(distributor),
+        jobsvc,
+        admission=admission,
+        cache_size=cache_size,
+        registry=distributor.telemetry.registry,
     )

@@ -135,6 +135,13 @@ class Request:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"malformed JSON body: {exc}") from None
 
+    def json_object(self) -> dict:
+        """The JSON body as an object; 400 for an array, a number, a string."""
+        body = self.json()
+        if not isinstance(body, dict):
+            raise HttpError(400, "body must be a JSON object")
+        return body
+
     def form(self) -> dict[str, str]:
         """Parse an ``application/x-www-form-urlencoded`` body."""
         try:

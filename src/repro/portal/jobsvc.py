@@ -5,8 +5,12 @@ user, it then creates a compilation and/or executor object, which in
 turn upon success contacts a job distributor to allocate resources on
 the cluster and finally dispatch the job onto those resources."
 
-Ownership rules: students see and control only their own jobs;
-instructors/admins see everything.
+Everything here needs in-process state: the user's home directory, the
+toolchains, and a live :class:`JobDistributor` to run compiled programs
+and exploration callables on.  Reading and controlling jobs that already
+exist goes through the cluster port instead
+(:class:`~repro.bus.service.LocalCluster`), which owns the ownership
+check.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from repro._errors import AuthorizationError, CompilationError, JobError
+from repro._errors import CompilationError, JobError
 from repro.analysis import AnalysisReport, analyze_source
 from repro.cluster.distributor import JobDistributor
 from repro.cluster.job import Job, JobKind, JobRequest, RetryPolicy
@@ -200,10 +204,9 @@ class JobService:
         )
         return self.distributor.submit(request)
 
-    def explore_report(self, user: User, job_id: str) -> dict:
-        """The finished exploration report for a job the user may see."""
-        job = self.get_job(user, job_id)
-        report = self._explore_reports.get(job_id)
+    def explore_report(self, job: Job) -> dict:
+        """The finished exploration report for ``job`` (already access-checked)."""
+        report = self._explore_reports.get(job.id)
         if report is None:
             return {"state": job.state.value, "ready": False, "error": job.error}
         return {"state": job.state.value, "ready": True, "report": report}
@@ -275,65 +278,3 @@ class JobService:
         job = self.distributor.submit(request)
         self._attach_lint(job, source, rel_path)
         return report, job
-
-    # -- job access control --------------------------------------------------
-    def get_job(self, user: User, job_id: str) -> Job:
-        """Fetch a job the user is allowed to see."""
-        job = self.distributor.job(job_id)
-        if job.request.owner != user.username and not user.can("view_all_jobs"):
-            raise AuthorizationError(f"job {job_id} belongs to {job.request.owner!r}")
-        return job
-
-    def list_jobs(self, user: User) -> list[dict]:
-        """The user's jobs (all jobs for instructors/admins), newest last."""
-        jobs = self.distributor.jobs.values()
-        if not user.can("view_all_jobs"):
-            jobs = [j for j in jobs if j.request.owner == user.username]
-        return [j.describe() for j in jobs]
-
-    def output_since(self, user: User, job_id: str, since: int = 0) -> dict:
-        """Poll stdout/stderr from absolute line offset ``since``."""
-        job = self.get_job(user, job_id)
-        out, out_next, out_trunc = job.stdout.read_since(since)
-        return {
-            "state": job.state.value,
-            "stdout": out,
-            "next": out_next,
-            "truncated": out_trunc,
-            # tail() copies just the 50 lines shown, not the whole buffer
-            "stderr_tail": job.stderr.tail(50),
-            "exit_code": job.exit_code,
-            "error": job.error,
-            "attempt": job.attempt_epoch,
-            "retries": max(0, job.attempt_epoch - 1),
-            "attempts": [a.as_dict() for a in job.attempts],
-        }
-
-    def output_fingerprint(self, job: Job) -> tuple:
-        """Cheap change-detector for a job's pollable output.
-
-        Any visible change to :meth:`output_since` moves at least one of
-        these fields, so the portal can key its response cache on the
-        tuple and serve 304s to repeat pollers of a quiet job.
-        """
-        return (
-            job.state.value,
-            job.stdout.next_index,
-            job.stderr.next_index,
-            job.exit_code,
-            # A retry changes the lineage even when the streams are quiet.
-            job.attempt_epoch,
-            len(job.attempts),
-        )
-
-    def send_input(self, user: User, job_id: str, text: str) -> None:
-        """Feed stdin to an interactive job."""
-        job = self.get_job(user, job_id)
-        if job.stdin.closed:
-            raise JobError(f"job {job_id} does not accept input (not interactive or finished)")
-        job.stdin.write(text)
-
-    def cancel(self, user: User, job_id: str) -> bool:
-        """Cancel a job the user owns (or any, for instructors)."""
-        self.get_job(user, job_id)  # ownership check
-        return self.distributor.cancel(job_id)

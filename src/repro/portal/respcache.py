@@ -190,9 +190,8 @@ class ResponseCache:
 def conditional_get(cache, counters, req, namespace: str, key, build) -> "Response":
     """Serve a cacheable GET with an ETag, honouring ``If-None-Match``.
 
-    The shared conditional-GET engine behind both the monolithic
-    :class:`~repro.portal.app.PortalApp` and the scale-out
-    :class:`~repro.portal.frontend.FrontendPortal`: probe the cache,
+    The conditional-GET engine behind :class:`~repro.portal.app.PortalApp`,
+    in the monolith and in every scale-out worker alike: probe the cache,
     serve a 304 or the stored body on a hit; on a miss render via
     ``build()`` and store the result *under the generation observed at
     probe time* so a racing invalidation can never be overwritten by a

@@ -1,10 +1,13 @@
 """URL routing with typed path parameters — O(1) on the static fast path.
 
-Patterns use ``<name>`` for one segment and ``<path:name>`` for the
-rest of the path (used by the file-manager endpoints)::
+Patterns use ``<name>`` for one whole path segment::
 
     router.add("GET", "/api/jobs/<job_id>/output", handler)
-    router.add("GET", "/files/<path:rest>", handler)
+
+A parameter must fill its segment, and ``<path:name>`` (a parameter
+spanning slashes) is not supported: endpoints that take a file path, like
+the file manager's, read it from ``?path=`` instead.  :meth:`Router.add`
+raises ``ValueError`` for either form.
 
 Dispatch is tiered, compiled once at registration time:
 
@@ -12,17 +15,11 @@ Dispatch is tiered, compiled once at registration time:
    one dict lookup per request, no regex, no garbage;
 2. **dynamic** — segment-parameter patterns are bucketed by segment
    count, so a request only ever probes routes that could match its
-   shape; matching is plain string comparison per segment;
-3. **prefix** — trailing ``<path:name>`` patterns, bucketed by minimum
-   segment count;
-4. **regex** — anything exotic (a parameter embedded mid-segment, a
-   ``<path:>`` that is not the final segment) falls back to the original
-   compiled-regex scan.  The portal itself registers nothing in this
-   tier.
+   shape; matching is plain string comparison per segment.
 
-405 semantics: ``allowed`` methods are computed only after *every* tier
-misses for the request method, so a method mismatch in one tier can
-never shadow a genuine match later in the scan.
+405 semantics: ``allowed`` methods are computed only after both tiers
+miss for the request method, so a method mismatch in one tier can never
+shadow a genuine match in the other.
 """
 
 from __future__ import annotations
@@ -42,85 +39,41 @@ _PARAM = re.compile(r"<(?:(path):)?([a-zA-Z_][a-zA-Z0-9_]*)>")
 _LIT, _VAR = 0, 1
 
 
-def _compile_regex(pattern: str) -> re.Pattern:
-    """Legacy full-regex compilation (tier-4 fallback)."""
-    regex = ["^"]
-    pos = 0
-    for m in _PARAM.finditer(pattern):
-        regex.append(re.escape(pattern[pos : m.start()]))
-        kind, name = m.group(1), m.group(2)
-        if kind == "path":
-            regex.append(f"(?P<{name}>.+)")
-        else:
-            regex.append(f"(?P<{name}>[^/]+)")
-        pos = m.end()
-    regex.append(re.escape(pattern[pos:]))
-    regex.append("$")
-    return re.compile("".join(regex))
-
-
 class _Route:
-    """One registered pattern, pre-compiled for its dispatch tier."""
+    """One registered pattern, pre-compiled to its segments."""
 
-    __slots__ = ("pattern", "methods", "segs", "path_name", "min_segs", "regex")
+    __slots__ = ("pattern", "methods", "segs")
 
     def __init__(self, pattern: str) -> None:
         self.pattern = pattern
         self.methods: dict[str, Handler] = {}
-        self.segs: Optional[list[tuple[int, str]]] = None
-        self.path_name: Optional[str] = None
-        self.min_segs = 0
-        self.regex: Optional[re.Pattern] = None
-        self._analyse(pattern)
-
-    def _analyse(self, pattern: str) -> None:
-        raw = pattern.split("/")
-        segs: list[tuple[int, str]] = []
-        for i, seg in enumerate(raw):
+        self.segs: list[tuple[int, str]] = []
+        for seg in pattern.split("/"):
             m = _PARAM.fullmatch(seg)
             if m is None:
-                if "<" in seg and _PARAM.search(seg):
-                    # parameter embedded inside a segment — regex tier
-                    self.segs = None
-                    self.regex = _compile_regex(pattern)
-                    return
-                segs.append((_LIT, seg))
+                if _PARAM.search(seg):
+                    raise ValueError(
+                        f"route {pattern!r}: a parameter must fill its whole segment"
+                    )
+                self.segs.append((_LIT, seg))
             elif m.group(1) == "path":
-                if i != len(raw) - 1:
-                    # <path:> mid-pattern — regex tier
-                    self.segs = None
-                    self.regex = _compile_regex(pattern)
-                    return
-                self.path_name = m.group(2)
-                break
+                raise ValueError(
+                    f"route {pattern!r}: <path:> parameters are not supported; "
+                    "take the path from the query string"
+                )
             else:
-                segs.append((_VAR, m.group(2)))
-        self.segs = segs
-        self.min_segs = len(segs) + (1 if self.path_name else 0)
+                self.segs.append((_VAR, m.group(2)))
 
     @property
     def is_static(self) -> bool:
-        return (
-            self.regex is None
-            and self.path_name is None
-            and all(kind == _LIT for kind, _ in (self.segs or ()))
-        )
+        return all(kind == _LIT for kind, _ in self.segs)
 
-    def match(self, path: str, segs: list[str]) -> Optional[dict[str, str]]:
-        """Path parameters if ``path`` matches, else None."""
-        if self.regex is not None:
-            m = self.regex.match(path)
-            if m is None:
-                return None
-            return {k: v for k, v in m.groupdict().items() if v is not None}
-        params: dict[str, str] = {}
-        own = self.segs or []
-        if self.path_name is None:
-            if len(segs) != len(own):
-                return None
-        elif len(segs) < self.min_segs:
+    def match(self, segs: list[str]) -> Optional[dict[str, str]]:
+        """Path parameters if the split request path matches, else None."""
+        if len(segs) != len(self.segs):
             return None
-        for (kind, val), seg in zip(own, segs):
+        params: dict[str, str] = {}
+        for (kind, val), seg in zip(self.segs, segs):
             if kind == _LIT:
                 if seg != val:
                     return None
@@ -128,11 +81,6 @@ class _Route:
                 if not seg:
                     return None  # segment params never match empty
                 params[val] = seg
-        if self.path_name is not None:
-            rest = "/".join(segs[len(own) :])
-            if not rest:
-                return None  # <path:> requires at least one character
-            params[self.path_name] = rest
         return params
 
 
@@ -143,23 +91,21 @@ class Router:
         self._all: dict[str, _Route] = {}  # pattern -> route (registration order)
         self._static: dict[str, _Route] = {}  # exact path -> route
         self._by_count: dict[int, list[_Route]] = {}  # n_segments -> routes
-        self._prefix: list[_Route] = []  # trailing <path:> routes
-        self._regex: list[_Route] = []  # tier-4 fallback
         #: observability: hits per dispatch tier (static vs everything else)
         self.counters = {"routed_static": 0, "routed_dynamic": 0}
 
     def add(self, method: str, pattern: str, handler: Handler) -> None:
-        """Register ``handler`` for ``method pattern``."""
+        """Register ``handler`` for ``method pattern``.
+
+        Raises ``ValueError`` for a duplicate route, a parameter inside a
+        segment, or a ``<path:>`` parameter.
+        """
         route = self._all.get(pattern)
         if route is None:
             route = _Route(pattern)
             self._all[pattern] = route
-            if route.regex is not None:
-                self._regex.append(route)
-            elif route.is_static:
+            if route.is_static:
                 self._static[pattern] = route
-            elif route.path_name is not None:
-                self._prefix.append(route)
             else:
                 self._by_count.setdefault(len(route.segs), []).append(route)
         method = method.upper()
@@ -191,36 +137,13 @@ class Router:
                 request.route = route.pattern
                 return handler(request)
 
-        # tiers 2-4: shape-bucketed dynamic, prefix, regex
+        # tier 2: shape-bucketed dynamic routes
         segs = path.split("/")
-        n = len(segs)
-        for candidate in self._by_count.get(n, ()):
+        for candidate in self._by_count.get(len(segs), ()):
             handler = candidate.methods.get(method)
             if handler is None:
                 continue  # method mismatch must not shadow a later match
-            params = candidate.match(path, segs)
-            if params is not None:
-                counters["routed_dynamic"] += 1
-                request.params = params
-                request.route = candidate.pattern
-                return handler(request)
-        for candidate in self._prefix:
-            if n < candidate.min_segs:
-                continue
-            handler = candidate.methods.get(method)
-            if handler is None:
-                continue
-            params = candidate.match(path, segs)
-            if params is not None:
-                counters["routed_dynamic"] += 1
-                request.params = params
-                request.route = candidate.pattern
-                return handler(request)
-        for candidate in self._regex:
-            handler = candidate.methods.get(method)
-            if handler is None:
-                continue
-            params = candidate.match(path, segs)
+            params = candidate.match(segs)
             if params is not None:
                 counters["routed_dynamic"] += 1
                 request.params = params
@@ -230,7 +153,7 @@ class Router:
         # miss: only now pay for the 405/404 distinction
         allowed: set[str] = set()
         for candidate in self._all.values():
-            if candidate.match(path, segs) is not None:
+            if candidate.match(segs) is not None:
                 allowed |= set(candidate.methods)
         if allowed:
             raise HttpError(

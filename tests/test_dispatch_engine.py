@@ -27,7 +27,6 @@ from repro.cluster import (
     SimulatedBackend,
 )
 from repro.cluster.monitor import ClusterMonitor
-from repro.cluster.scheduler import _Shadow
 from repro.desim import Simulator
 
 N_JOBS = 400
@@ -52,6 +51,55 @@ def make_workload(n=N_JOBS, seed=42):
             )
         )
     return out
+
+
+class _Shadow:
+    """Free-capacity view rebuilt from scratch: the equivalence oracle.
+
+    Walks every up node at construction — O(nodes) per scheduling round —
+    and snapshots its free cores and memory.  This was the schedulers'
+    capacity view before the incremental :class:`CapacityView`; the tests
+    below replay every round against both and demand identical picks.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        self.grid = grid
+        self.cores: dict[str, int] = {}
+        self.memory: dict[str, int] = {}
+        self._seg_free: dict[str, int] = {s.name: 0 for s in grid.segments}
+        self._total = 0
+        self.probes = 0
+        for n in grid.up_compute_nodes():
+            self.cores[n.name] = n.cores_free
+            self.memory[n.name] = n.memory_free_mb
+            self._seg_free[n.segment] += n.cores_free
+            self._total += n.cores_free
+
+    def fits(self, node, cores: int, memory_mb: int, need_gpu: bool) -> bool:
+        if need_gpu and not node.spec.has_gpu:
+            return False
+        return (
+            self.cores.get(node.name, 0) >= cores
+            and self.memory.get(node.name, 0) >= memory_mb
+        )
+
+    def free(self, node) -> tuple[int, int]:
+        """(free cores, free memory) of ``node`` under this view."""
+        return self.cores.get(node.name, 0), self.memory.get(node.name, 0)
+
+    def seg_free_cores(self, seg) -> int:
+        """Total free cores in segment ``seg`` under this view."""
+        return self._seg_free.get(seg.name, 0)
+
+    def take(self, node_name: str, cores: int, memory_mb: int) -> None:
+        self.cores[node_name] -= cores
+        self.memory[node_name] -= memory_mb
+        self._seg_free[self.grid.node(node_name).segment] -= cores
+        self._total -= cores
+
+    @property
+    def total_free_cores(self) -> int:
+        return self._total
 
 
 def assert_capacity_consistent(grid):
@@ -80,7 +128,9 @@ class DiffingScheduler(Scheduler):
 
     def select(self, queue, grid, now=0.0, running=(), view=None):
         # Reference: fresh rebuild, plain (unsorted-contract) running list.
-        fresh = self.inner.select(list(queue), grid, now=now, running=list(running))
+        fresh = self.inner.select(
+            list(queue), grid, now=now, running=list(running), view=_Shadow(grid)
+        )
         # Hot path: incremental view + presorted running estimates.
         inc = self.inner.select(
             queue, grid, now=now, running=running,
@@ -109,6 +159,30 @@ class TestPickEquivalence:
         assert dist.monitor.summary()["by_state"] == {"completed": N_JOBS}
         assert_capacity_consistent(grid)
         assert grid.cores_free == grid.cores_total
+
+    @pytest.mark.parametrize(
+        "scheduler_cls", [FIFOScheduler, PriorityScheduler, BackfillScheduler]
+    )
+    def test_standalone_select_skips_a_killed_node(self, scheduler_cls):
+        """``select()`` without a view builds a CapacityView, and a dead
+        node reads zero free cores through it, as in the full rebuild."""
+        grid = Grid(ClusterSpec.small(segments=2, slaves=2, cores=2))
+        victim = grid.node("seg-0-n00")
+        victim.mark_down()
+        grid.node("seg-1-n01").allocate("held", 1)
+        queue = [
+            Job(JobRequest(name=f"q{i}", kind=JobKind.PARALLEL, n_tasks=n,
+                           sim_duration=1.0, est_runtime_s=1.0))
+            for i, n in enumerate((2, 1, 3, 1))
+        ]
+        standalone = scheduler_cls().select(queue, grid)
+        oracle = scheduler_cls().select(queue, grid, view=_Shadow(grid))
+        assert [(j.id, a.placement) for j, a in standalone] == [
+            (j.id, a.placement) for j, a in oracle
+        ]
+        assert standalone  # the live nodes still take work
+        placed = {name for _, a in standalone for name, _ in a.placement}
+        assert victim.name not in placed
 
 
 class TestReserveRollback:

@@ -547,11 +547,12 @@ class TestPortalSurfacing:
     def test_output_fingerprint_moves_on_retry(self):
         sim, grid, dist = des_distributor(retry=FAST_RETRY)
         job = dist.submit(JobRequest(name="victim", sim_duration=5.0))
-        from repro.portal.jobsvc import JobService
+        from repro.bus.service import LocalCluster
 
-        fp_before = JobService.output_fingerprint(None, job)
+        port = LocalCluster(dist)
+        fp_before = port.output_fingerprint(job.request.owner, job.id)
         dist.fail_node(next(iter(job.placement)))
-        fp_after = JobService.output_fingerprint(None, job)
+        fp_after = port.output_fingerprint(job.request.owner, job.id)
         assert fp_before != fp_after  # pollers see the reroute immediately
         sim.run()
         assert job.state is JobState.COMPLETED

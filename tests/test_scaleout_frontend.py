@@ -16,7 +16,8 @@ from repro.cluster.grid import Grid
 from repro.cluster.spec import ClusterSpec
 from repro.portal import PortalClient
 from repro.portal.admission import AdmissionController
-from repro.portal.frontend import FrontendFleet, FrontendPortal, SessionReplicator
+from repro.portal.app import PortalApp
+from repro.portal.frontend import FrontendFleet, SessionReplicator
 from repro.portal.sessions import SessionStore
 
 
@@ -161,7 +162,7 @@ class TestCachedReads:
         s1 = client.cluster_status()
         s2 = client.cluster_status()
         assert s1 == s2
-        assert worker.stats()["not_modified"] >= 1
+        assert worker.stats()["portal"]["not_modified"] >= 1
 
     def test_status_cache_invalidated_by_cluster_version_change(self, fleet):
         worker = fleet.workers[0]
@@ -261,7 +262,7 @@ class TestFrontendResilience:
                 )
                 statuses.append(status)
             assert 429 in statuses
-            assert worker.stats()["admission"]["rejected_429"] > 0
+            assert worker.stats()["portal"]["admission"]["rejected_429"] > 0
         finally:
             fleet.stop()
 
@@ -271,10 +272,10 @@ class TestFrontendResilience:
         fleet = FrontendFleet(_make_distributor(), n_workers=1).start()
         try:
             fleet.users.add_user("alice", "secret123")
-            worker = FrontendPortal(
-                ClusterProxy(fleet.bus, client_id="metrics-test"),
+            worker = PortalApp(
                 fleet.users,
                 SessionStore(),
+                ClusterProxy(fleet.bus, client_id="metrics-test"),
                 registry=MetricsRegistry(),
                 worker_id="fx",
             )
@@ -294,6 +295,11 @@ class TestFrontendResilience:
         _client(fleet.workers[0])
         stats = fleet.stats()
         assert [w["worker"] for w in stats["workers"]] == ["fe0", "fe1", "fe2"]
+        assert all(isinstance(w, PortalApp) for w in fleet.workers)
+        # each entry is the worker's own PortalApp.stats() plus its replicator
+        first = stats["workers"][0]
+        assert first["portal"]["requests"] >= 1
+        assert first["replication"]["published"] == 1
         assert stats["bus"]["published"] >= 1  # the session replication event
         assert stats["service"]["reply_latency_s"] == 0.0
 
