@@ -3,8 +3,8 @@
 Three interchangeable backends behind one interface:
 
 * :class:`SubprocessBackend` — real OS processes (the portal's compiled
-  C/C++/Java programs).  Parallel jobs launch one process per task with
-  ``REPRO_RANK``/``REPRO_SIZE``/``REPRO_NODE`` in the environment.
+  C/C++/Java programs), one per task with ``REPRO_RANK``/``REPRO_SIZE``/
+  ``REPRO_NODE`` set; sequential and parallel jobs share one I/O thread.
 * :class:`CallableBackend` — Python callables on worker threads;
   parallel callables run under :func:`repro.minimpi.run_mpi` with the
   comm as first argument.  Hermetic: used by most tests and labs.
@@ -20,15 +20,21 @@ free resources.
 
 from __future__ import annotations
 
+import math
 import os
+import selectors
 import subprocess
 import threading
 import time
+from functools import partial
 from typing import Callable
 
 from repro._errors import JobError
-from repro.cluster.job import Job, JobKind
+from repro.cluster.job import Job, JobKind, JobState
 from repro.desim.kernel import Simulator
+
+#: A cancel kills the ranks this long after rank 0 got its queued input and EOF.
+CANCEL_GRACE_S = 0.05
 
 __all__ = [
     "ExecutionHandle",
@@ -99,14 +105,9 @@ def _finish(job: Job, handle: ExecutionHandle, exit_code: int, error: str | None
     installed by the distributor — may convert the would-be terminal
     state into RETRYING; streams then stay open for the next attempt.
     """
-    from repro.cluster.job import JobState
-
-    if handle.epoch != getattr(job, "attempt_epoch", 0):
-        handle._mark_done()  # stale attempt: observers unblock, job untouched
-        return
-    if job.state is not JobState.RUNNING:
-        # The attempt was already resolved by the fault path (node death or
-        # enforced timeout sealed/requeued the job) — don't clobber it.
+    if handle.epoch != getattr(job, "attempt_epoch", 0) or job.state is not JobState.RUNNING:
+        # A stale attempt, or one the fault path (node death or enforced
+        # timeout) already resolved: observers unblock, the job is untouched.
         handle._mark_done()
         return
     job.exit_code = exit_code
@@ -133,181 +134,179 @@ def _finish(job: Job, handle: ExecutionHandle, exit_code: int, error: str | None
     handle._mark_done()
 
 
+class _Run(ExecutionHandle):
+    """One subprocess attempt: its handle, and its ranks' state in the I/O loop."""
+
+    def __init__(self, job: Job, wake: Callable[[], None]) -> None:
+        super().__init__(job)
+        self.wake, self.procs, self.pipes = wake, [], []  # pipes: (file, capture, prefix)
+        self.stdin, self.inbuf = None, b""  # rank 0's stdin; input it has not taken yet
+        self.deadline = time.monotonic() + (job.request.timeout_s or math.inf)
+        self.killed, self.failure = False, None  # failure: (exit code, error) to seal with
+
+    def request_cancel(self) -> None:
+        super().request_cancel()
+        self.wake()
+
+
 class SubprocessBackend(ExecutionBackend):
-    """Run ``job.request.argv`` as real OS process(es).
+    """Run ``job.request.argv`` as real OS processes, one per task.
 
-    Two I/O modes:
-
-    * ``stream=True`` (default) — *live* streams: stdout/stderr lines
-      land in the job's :class:`~repro.cluster.streams.StreamCapture`
-      as the process emits them, and text written to the job's stdin
-      channel (the portal's input box) is piped in while it runs.  This
-      is the paper's "monitor the standard streams, and even provide
-      input" behaviour.  Used for sequential/interactive jobs.
-    * batch — ``communicate()`` once at exit; used for parallel jobs
-      (per-rank output is interleaved deterministically with rank
-      prefixes at the end).
+    One ``selectors`` thread per backend spawns every job's ranks, pumps
+    their stdout/stderr line by line (``[rank N] `` prefixed when
+    ``n_tasks > 1``), feeds stdin to rank 0, enforces ``timeout_s``,
+    kills every rank ``CANCEL_GRACE_S`` after a cancel and reaps exits
+    through pidfds.  The job's exit code is the first non-zero rank code.
+    A launch, a cancel or a stdin write wakes the thread through its
+    self-pipe (an eventfd); with no job left it exits and closes its fds.
     """
 
-    def __init__(self, stream: bool = True) -> None:
-        self.stream = stream
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pending: list[_Run] = []  # launched, not yet spawned
+        self._runs: set[_Run] = set()  # spawned, not yet sealed
+        self._partial: dict = {}  # pipe file -> its unfinished last line
+        self._wake_fd: int | None = None  # the loop's self-pipe (an eventfd) while it runs
 
     def launch(self, job: Job) -> ExecutionHandle:
         if job.request.argv is None:
             raise JobError(f"job {job.id} has no argv; SubprocessBackend cannot run it")
-        handle = ExecutionHandle(job)
-        use_stream = self.stream and job.request.n_tasks == 1
-        target = self._run_streaming if use_stream else self._run
-        t = threading.Thread(target=target, args=(job, handle), daemon=True,
-                             name=f"exec-{job.id}")
-        t.start()
-        return handle
+        run = _Run(job, self._wake)
+        job.stdin.on_change = self._wake
+        with self._lock:
+            self._pending.append(run)
+            if self._wake_fd is None:
+                self._wake_fd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+                threading.Thread(target=self._loop, daemon=True, name="subprocess-io").start()
+        self._wake()
+        return run
 
-    # -- streaming mode (single task) -----------------------------------
-    def _run_streaming(self, job: Job, handle: ExecutionHandle) -> None:
-        env = dict(os.environ)
-        env.update(job.request.env)
-        env.update({"REPRO_RANK": "0", "REPRO_SIZE": "1",
-                    "REPRO_NODE": next(iter(job.placement), "node-0")})
-        try:
-            proc = subprocess.Popen(
-                job.request.argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                bufsize=1,  # line buffered
-                env=env,
-                cwd=job.request.workdir,
-            )
-        except OSError as exc:
-            _finish(job, handle, exit_code=127, error=f"launch failed: {exc}")
-            return
+    def _wake(self) -> None:
+        with self._lock:
+            if self._wake_fd is not None:
+                os.eventfd_write(self._wake_fd, 1)
 
-        def pump(pipe, capture) -> None:
-            for line in pipe:
-                capture.write_line(line)
-            pipe.close()
+    def _loop(self) -> None:
+        sel = self._sel = selectors.DefaultSelector()
+        sel.register(self._wake_fd, selectors.EVENT_READ, partial(os.eventfd_read, self._wake_fd))
+        while True:
+            with self._lock:
+                spawn, self._pending = self._pending, []
+                if not spawn and not self._runs:
+                    sel.close()
+                    os.close(self._wake_fd)
+                    self._wake_fd = None
+                    return
+            for run in spawn:
+                self._spawn(run)
+            now = time.monotonic()
+            for run in [r for r in self._runs if not r.killed]:
+                if run.cancel_requested:  # rank 0 gets the input sent before it, then EOF
+                    run.deadline = min(run.deadline, now + CANCEL_GRACE_S)
+                self._feed(run, eof=run.cancel_requested)
+                if now >= run.deadline:  # a cancel, a launch failure or the job's timeout
+                    if not (run.cancel_requested or run.failure):
+                        run.failure = (-1, "timeout")
+                    run.killed = True
+                    for proc in run.procs:
+                        proc.kill()
+            deadline = min((r.deadline for r in self._runs if not r.killed), default=math.inf)
+            for key, _ in sel.select(None if deadline == math.inf else max(0.0, deadline - now)):
+                if sel.get_map().get(key.fd) is key:  # not closed earlier in this batch
+                    key.data()
 
-        pumps = [
-            threading.Thread(target=pump, args=(proc.stdout, job.stdout), daemon=True),
-            threading.Thread(target=pump, args=(proc.stderr, job.stderr), daemon=True),
-        ]
-        for t in pumps:
-            t.start()
-        threading.Thread(target=self._stdin_loop, args=(job, proc), daemon=True).start()
-
-        # Wait in short slices so cancellation and timeout both bite fast.
-        deadline = (
-            time.monotonic() + job.request.timeout_s
-            if job.request.timeout_s is not None
-            else None
-        )
-        timed_out = False
-        while proc.poll() is None:
-            if handle.cancel_requested:
-                proc.kill()
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                proc.kill()
-                break
-            try:
-                proc.wait(timeout=0.05)
-            except subprocess.TimeoutExpired:
-                continue
-        proc.wait()
-        for t in pumps:
-            t.join(5.0)
-        if not job.stdin.closed:
-            job.stdin.close()
-        if timed_out:
-            _finish(job, handle, exit_code=-1, error="timeout")
-        else:
-            _finish(job, handle, exit_code=proc.returncode)
-
-    @staticmethod
-    def _stdin_loop(job: Job, proc: subprocess.Popen) -> None:
-        """Forward the interactive channel into the process until EOF."""
-        while proc.poll() is None:
-            try:
-                line = job.stdin.read_line(timeout=0.2)
-            except TimeoutError:
-                continue
-            if line is None:
-                break
-            try:
-                proc.stdin.write(line + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, ValueError, OSError):
-                break
-        try:
-            proc.stdin.close()
-        except (OSError, ValueError):
-            pass
-
-    # -- batch mode (parallel jobs) ---------------------------------------
-    def _run(self, job: Job, handle: ExecutionHandle) -> None:
-        procs: list[subprocess.Popen] = []
-        tasks = list(self._task_placements(job))
+    def _spawn(self, run: _Run) -> None:
+        job, per_task = run.job, run.job.request.cores_per_task
+        # one node name per task, from the per-node placement
+        tasks = [n for n, cores in sorted(job.placement.items()) for _ in range(cores // per_task)]
+        tasks = tasks[: job.request.n_tasks] or [next(iter(job.placement), "node-0")]
+        if run.cancel_requested:  # cancelled before its spawn: no process starts
+            tasks, run.failure = [], (-1, None)
         try:
             for rank, node_name in enumerate(tasks):
-                env = dict(os.environ)
-                env.update(job.request.env)
-                env["REPRO_RANK"] = str(rank)
-                env["REPRO_SIZE"] = str(len(tasks))
-                env["REPRO_NODE"] = node_name
-                procs.append(
-                    subprocess.Popen(
-                        job.request.argv,
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        text=True,
-                        env=env,
-                        cwd=job.request.workdir,
-                    )
-                )
-        except OSError as exc:
-            for p in procs:
-                p.kill()
-            _finish(job, handle, exit_code=127, error=f"launch failed: {exc}")
-            return
+                env = {**os.environ, **job.request.env, "REPRO_RANK": str(rank),
+                       "REPRO_SIZE": str(len(tasks)), "REPRO_NODE": node_name}
+                proc = subprocess.Popen(
+                    job.request.argv, env=env, cwd=job.request.workdir, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, stdin=subprocess.DEVNULL if rank else subprocess.PIPE)
+                run.procs.append(proc)
+                prefix = f"[rank {rank}] " if len(tasks) > 1 else ""
+                run.stdin = run.stdin or proc.stdin  # rank 0's
+                for file in filter(None, (proc.stdin, proc.stdout, proc.stderr)):
+                    os.set_blocking(file.fileno(), False)
+                for pipe in ((proc.stdout, job.stdout, prefix), (proc.stderr, job.stderr, prefix)):
+                    run.pipes.append(pipe)
+                    self._sel.register(pipe[0], selectors.EVENT_READ, partial(self._read, *pipe))
+                fd = os.pidfd_open(proc.pid)  # readable once the rank exits
+                self._sel.register(fd, selectors.EVENT_READ, partial(self._reap, run, proc, fd))
+        except Exception as exc:  # noqa: BLE001 - a bad argv fails its job, not the loop
+            run.failure, run.deadline = (127, f"launch failed: {exc}"), 0.0
+        self._runs.add(run)
+        self._reap(run)  # seals at once when no rank started
 
-        # Feed queued stdin to rank 0 (interactive protocol).
-        stdin_text = job.stdin.drain()
+    def _read(self, file, capture, prefix: str, final: bool = False) -> None:
+        """Move what ``file`` holds into ``capture``; close it at EOF, or once dry if ``final``."""
         try:
-            timeout = job.request.timeout_s
-            outs: list[tuple[str, str, int]] = []
-            for p in procs:
-                out, err = p.communicate(stdin_text if p is procs[0] else None, timeout=timeout)
-                outs.append((out, err, p.returncode))
-        except subprocess.TimeoutExpired:
-            for p in procs:
-                p.kill()
-            for p in procs:
-                p.wait()
-            _finish(job, handle, exit_code=-1, error="timeout")
+            chunk = os.read(file.fileno(), 1 << 16)
+        except BlockingIOError:
+            if not final:
+                return
+            chunk = b""
+        *lines, rest = (self._partial.pop(file, b"") + chunk).split(b"\n")
+        if chunk:
+            self._partial[file] = rest
+        elif rest:
+            lines.append(rest)  # the last line had no newline
+        for line in lines:
+            capture.write_line(prefix + line.rstrip(b"\r").decode(errors="replace"))
+        if not chunk:
+            self._drop(file)
+
+    def _feed(self, run: _Run, eof: bool = False) -> None:
+        """Copy the job's stdin channel into rank 0 without blocking; close it at ``eof``."""
+        if run.stdin is None or run.stdin.closed:
             return
+        if run.stdin in self._sel.get_map():
+            self._sel.unregister(run.stdin)
+        try:
+            while (line := run.job.stdin.read_line(timeout=0)) is not None:
+                run.inbuf += (line + "\n").encode()
+            eof = True
+        except TimeoutError:  # nothing more queued yet
+            pass
+        try:
+            run.inbuf = run.inbuf[os.write(run.stdin.fileno(), run.inbuf):]
+        except BlockingIOError:
+            pass
+        except OSError:  # rank 0 exited or closed its stdin
+            eof, run.inbuf = True, b""
+        if run.inbuf:  # the pipe is full: go on once rank 0 reads
+            self._sel.register(run.stdin, selectors.EVENT_WRITE, partial(self._feed, run))
+        elif eof:
+            self._drop(run.stdin)
 
-        for rank, (out, err, rc) in enumerate(outs):
-            prefix = f"[rank {rank}] " if len(outs) > 1 else ""
-            for line in out.splitlines():
-                job.stdout.write_line(prefix + line)
-            for line in err.splitlines():
-                job.stderr.write_line(prefix + line)
-        worst = max(rc for _, _, rc in outs)
-        _finish(job, handle, exit_code=worst)
+    def _drop(self, file) -> None:
+        if file in self._sel.get_map():
+            self._sel.unregister(file)
+        file.close()
 
-    @staticmethod
-    def _task_placements(job: Job) -> list[str]:
-        """Expand the per-node placement into a per-task node list."""
-        out: list[str] = []
-        per_task = job.request.cores_per_task
-        for node_name, cores in sorted(job.placement.items()):
-            out.extend([node_name] * (cores // per_task))
-        # Guard against placement/tasks mismatch (should not happen).
-        return out[: job.request.n_tasks] or [next(iter(job.placement), "node-0")]
+    def _reap(self, run: _Run, proc: subprocess.Popen | None = None, pidfd: int = -1) -> None:
+        """Collect a rank's exit; once every rank is in, drain the pipes and seal."""
+        if proc is not None:
+            self._sel.unregister(pidfd)
+            os.close(pidfd)
+            proc.wait()
+        if any(p.returncode is None for p in run.procs):
+            return
+        self._runs.discard(run)
+        for file, capture, prefix in run.pipes:
+            while not file.closed:
+                self._read(file, capture, prefix, final=True)
+        if run.stdin is not None and not run.stdin.closed:
+            self._drop(run.stdin)
+        run.job.stdin.close()
+        code = next((p.returncode for p in run.procs if p.returncode), 0)
+        _finish(run.job, run, *(run.failure or (code, None)))
 
 
 class CallableBackend(ExecutionBackend):

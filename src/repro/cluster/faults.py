@@ -17,7 +17,6 @@ import numpy as np
 
 from repro._errors import ResourceError
 from repro.cluster.distributor import JobDistributor
-from repro.cluster.job import JobState
 from repro.cluster.node import NodeState
 
 __all__ = ["FaultInjector"]
@@ -32,15 +31,11 @@ class FaultInjector:
         self.killed: list[str] = []
         self.victim_jobs: list[str] = []
 
-    def kill_node(self, node_name: str, resubmit: bool = False) -> list[str]:
+    def kill_node(self, node_name: str) -> list[str]:
         """Take one node down via the distributor's fault path.
 
         Jobs running there either reroute (their retry policy covers
-        ``node_lost``) or seal FAILED.  With ``resubmit=True``, each job
-        that sealed FAILED is resubmitted as a fresh clone of its request
-        — the legacy recovery mode from before first-class rerouting.
-
-        Returns ids of affected jobs.
+        ``node_lost``) or seal FAILED.  Returns ids of affected jobs.
         """
         dist = self.distributor
         node = dist.grid.node(node_name)
@@ -53,20 +48,15 @@ class FaultInjector:
         dist.fail_node(node_name)
         self.killed.append(node_name)
         self.victim_jobs.extend(victims)
-        if resubmit:
-            for job_id in victims:
-                job = dist.jobs.get(job_id)
-                if job is not None and job.state is JobState.FAILED:
-                    dist.submit(job.request)
         return victims
 
-    def kill_random_node(self, resubmit: bool = False) -> tuple[str, list[str]]:
+    def kill_random_node(self) -> tuple[str, list[str]]:
         """Kill a uniformly-chosen up node. Returns (name, affected jobs)."""
         up = self.distributor.grid.up_compute_nodes()
         if not up:
             raise ResourceError("no up nodes left to kill")
         node = up[int(self._rng.integers(0, len(up)))]
-        return node.name, self.kill_node(node.name, resubmit=resubmit)
+        return node.name, self.kill_node(node.name)
 
     def revive_node(self, node_name: str) -> None:
         """Bring a dead node back (empty) and re-run dispatch."""

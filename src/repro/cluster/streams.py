@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from itertools import islice
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 __all__ = ["StreamCapture", "InteractiveChannel"]
 
@@ -116,8 +116,9 @@ class InteractiveChannel:
     """stdin feed for interactive jobs.
 
     The portal's input box calls :meth:`write`; the execution backend
-    consumes with :meth:`read_line` (blocking with timeout).  Closing the
-    channel delivers EOF (``None``) to readers.
+    consumes with :meth:`read_line` (blocking with timeout), or with
+    ``timeout=0`` when ``on_change`` wakes it.  Closing the channel
+    delivers EOF (``None``) to readers.
     """
 
     def __init__(self, name: str = "stdin") -> None:
@@ -126,6 +127,9 @@ class InteractiveChannel:
         self._cond = threading.Condition(self._lock)
         self._buffer: Deque[str] = deque()
         self._closed = False
+        #: called after every write and close; the subprocess backend
+        #: sets it to wake its I/O loop
+        self.on_change: Optional[Callable[[], None]] = None
 
     def write(self, text: str) -> None:
         """Queue input text (split into lines)."""
@@ -135,12 +139,16 @@ class InteractiveChannel:
             for line in text.splitlines():
                 self._buffer.append(line)
             self._cond.notify_all()
+        if self.on_change is not None:
+            self.on_change()
 
     def close(self) -> None:
         """Send EOF to the consumer."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+        if self.on_change is not None:
+            self.on_change()
 
     @property
     def closed(self) -> bool:

@@ -1,5 +1,7 @@
 """Live-streaming subprocess execution: output and stdin *during* the run."""
 
+import os
+import threading
 import time
 
 import pytest
@@ -13,11 +15,23 @@ from repro.cluster import (
     JobState,
     SubprocessBackend,
 )
+from repro.cluster.faults import FaultInjector
+from repro.cluster.job import Job
+from repro.cluster.streams import InteractiveChannel
 
 
 @pytest.fixture
 def dist():
     return JobDistributor(Grid(ClusterSpec.small()), SubprocessBackend())
+
+
+def wait_until(pred, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if pred():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def wait_for_line(job, needle: str, timeout: float = 10.0) -> bool:
@@ -146,18 +160,119 @@ class TestControl:
         assert dist.wait_all(30)
         assert job.state is JobState.TIMEOUT
 
-    def test_batch_mode_forced_for_parallel(self):
-        backend = SubprocessBackend(stream=True)
-        dist = JobDistributor(Grid(ClusterSpec.small()), backend)
-        job = dist.submit(
-            JobRequest(name="par", kind=JobKind.PARALLEL, n_tasks=2,
-                       argv=["python3", "-c", "import os; print(os.environ['REPRO_RANK'])"])
-        )
-        assert dist.wait_all(30)
-        assert sorted(job.stdout.tail(5)) == ["[rank 0] 0", "[rank 1] 1"]
 
-    def test_stream_disabled_backend_batches(self):
-        dist = JobDistributor(Grid(ClusterSpec.small()), SubprocessBackend(stream=False))
-        job = dist.submit(JobRequest(name="b", argv=["python3", "-c", "print('batch')"]))
+# Each rank prints "pid <n>" and then sleeps far past any test's patience.
+SLEEPER = "import os, time; print('pid', os.getpid(), flush=True); time.sleep(30)"
+
+
+def gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def start_ranks(dist, **kw):
+    """Submit a 2-rank SLEEPER job; return it with both ranks' pids."""
+    job = dist.submit(JobRequest(name="ranks", kind=JobKind.PARALLEL, n_tasks=2,
+                                 argv=["python3", "-c", SLEEPER], **kw))
+    assert wait_until(lambda: len(job.stdout.tail(10)) == 2)
+    return job, [int(line.split()[-1]) for line in job.stdout.tail(10)]
+
+
+class TestParallel:
+    def test_output_live_and_stdin_reaches_rank0(self):
+        # Through the distributor only single-task INTERACTIVE jobs keep an
+        # open stdin channel, so this drives the backend with a placed job.
+        prog = (
+            "import os, sys\n"
+            "print('up', flush=True)\n"
+            "if os.environ['REPRO_RANK'] == '0':\n"
+            "    print('got', sys.stdin.readline().strip(), flush=True)\n"
+        )
+        job = Job(JobRequest(name="par", kind=JobKind.PARALLEL, n_tasks=2,
+                             argv=["python3", "-c", prog]))
+        job.stdin = InteractiveChannel()
+        job.placement = {"node-a": 1, "node-b": 1}
+        job.transition(JobState.QUEUED)
+        job.transition(JobState.RUNNING)
+        handle = SubprocessBackend().launch(job)
+        assert wait_for_line(job, "[rank 0] up")
+        assert wait_for_line(job, "[rank 1] up")
+        assert job.state is JobState.RUNNING  # rank 0 still waits for its input
+        job.stdin.write("hello\n")
+        assert handle.wait(30)
+        assert job.state is JobState.COMPLETED
+        assert sorted(job.stdout.tail(10)) == ["[rank 0] got hello", "[rank 0] up", "[rank 1] up"]
+
+    def test_rank_killed_by_signal_fails_the_job(self, dist):
+        prog = (
+            "import os, signal\n"
+            "if os.environ['REPRO_RANK'] == '1':\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        job = dist.submit(JobRequest(name="sig", kind=JobKind.PARALLEL, n_tasks=2,
+                                     argv=["python3", "-c", prog]))
         assert dist.wait_all(30)
-        assert job.stdout.tail() == ["batch"]
+        assert job.state is JobState.FAILED
+        assert job.exit_code == -9
+
+    def test_cancel_kills_every_rank(self, dist):
+        job, pids = start_ranks(dist)
+        t0 = time.monotonic()
+        dist.cancel(job.id)
+        assert dist.wait_all(5)
+        assert time.monotonic() - t0 < 3.0
+        assert job.state is JobState.CANCELLED
+        assert wait_until(lambda: all(gone(pid) for pid in pids), 3.0)
+
+    def test_node_loss_kills_every_rank(self, dist):
+        job, pids = start_ranks(dist)
+        FaultInjector(dist).kill_node(next(iter(job.placement)))
+        assert job.state is JobState.FAILED
+        assert wait_until(lambda: all(gone(pid) for pid in pids), 3.0)
+
+    def test_timeout_kills_every_rank(self, dist):
+        job, pids = start_ranks(dist, timeout_s=1.0)
+        assert dist.wait_all(5)
+        assert job.state is JobState.TIMEOUT
+        assert wait_until(lambda: all(gone(pid) for pid in pids), 3.0)
+
+
+class TestUndecodableOutput:
+    BAD = "import sys; sys.stdout.buffer.write(b'bad \\xff byte\\n'); sys.stdout.flush(); "
+
+    def test_bad_byte_is_replaced(self, dist):
+        job = dist.submit(JobRequest(name="bad", argv=["python3", "-c", self.BAD + "print('after')"],
+                                     timeout_s=30))
+        assert dist.wait_all(30)
+        assert job.state is JobState.COMPLETED
+        assert job.stdout.tail() == ["bad \ufffd byte", "after"]
+
+    def test_bad_byte_then_a_full_pipe_completes(self, dist):
+        prog = self.BAD + "[print('x' * 79) for _ in range(10_000)]"
+        job = dist.submit(JobRequest(name="flood", argv=["python3", "-c", prog], timeout_s=5))
+        assert dist.wait_all(30)
+        assert job.state is JobState.COMPLETED
+        assert job.stdout.tail(1) == ["x" * 79]
+
+
+class TestOneLoop:
+    def test_one_io_thread_for_all_jobs_and_none_when_idle(self, dist):
+        # Let I/O threads of earlier tests' backends finish exiting first.
+        assert wait_until(lambda: all(t.name != "subprocess-io" for t in threading.enumerate()))
+        baseline = threading.active_count()
+        prog = "import time; print('hi', flush=True); time.sleep(0.5)"
+        jobs = [dist.submit(JobRequest(name=f"s{i}", argv=["python3", "-c", prog]))
+                for i in range(4)]
+        jobs.append(dist.submit(JobRequest(name="p", kind=JobKind.PARALLEL, n_tasks=2,
+                                           argv=["python3", "-c", prog])))
+        peak = baseline
+        while not all(job.terminal for job in jobs):
+            peak = max(peak, threading.active_count())
+            time.sleep(0.01)
+        assert dist.wait_all(30)
+        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert peak <= baseline + 1
+        assert wait_until(lambda: threading.active_count() <= baseline, 5.0)
