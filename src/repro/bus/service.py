@@ -3,8 +3,8 @@
 :class:`LocalCluster` is the *cluster port* over an in-process
 :class:`JobDistributor`: the method set the portal reaches the cluster
 through — freshness probe, status, submit, describe, output polling,
-input, cancel, fleet and spec.  :class:`~repro.bus.proxy.ClusterProxy`
-implements the same methods, with the same signatures, as RPCs, so one
+input, cancel, exploration, traces, events, accounting, fleet and spec.
+:class:`~repro.bus.proxy.ClusterProxy` implements the same methods, with the same signatures, as RPCs, so one
 :class:`~repro.portal.app.PortalApp` runs over either transport: the
 monolith holds a ``LocalCluster`` (zero hops), a scale-out worker holds a
 ``ClusterProxy``.
@@ -12,12 +12,18 @@ monolith holds a ``LocalCluster`` (zero hops), a scale-out worker holds a
 Ownership is enforced in :meth:`LocalCluster.job`, once, for both
 transports: every job method takes the calling user and a ``view_all``
 capability flag, so a buggy front-end cannot leak another student's job
-across the bus.
+across the bus.  The event log and accounting span every owner and need
+``view_all`` themselves.
+
+A spec apply that changes a portal stanza (admission, toolchains) reaches
+each app through :meth:`LocalCluster.on_spec_applied`; the back-end
+service republishes it on :data:`SPEC_TOPIC` for the workers.
 
 :class:`ClusterBackendService` is the only thing on the cluster side of
 the bus.  It checks what arrives off the wire (a submitted ``request``
 must be an object with an owner, a reconfigure's ``spec`` an object,
-``since`` an integer) and hands each RPC to the matching
+``since`` and ``max_schedules`` integers, a ``min_severity`` a known
+severity) and hands each RPC to the matching
 ``LocalCluster`` method, which also enforces the ``manage_cluster``
 capability a reconfigure asserts.
 
@@ -34,16 +40,31 @@ measures.
 
 from __future__ import annotations
 
-from repro._errors import AuthorizationError, BusError, JobError
+from json import dumps
+from typing import Callable
+
+from repro._errors import AuthorizationError, BusError, JobError, SpecError
 from repro.bus.core import MessageBus
 from repro.bus.rpc import RpcServer
 from repro.cluster.distributor import JobDistributor
-from repro.cluster.job import Job, JobRequest
-from repro.spec import Reconfigurer, validate as validate_spec
+from repro.cluster.job import Job, JobKind, JobRequest
+from repro.spec import Reconfigurer
+from repro.telemetry.events import SEVERITIES
 
-__all__ = ["ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster"]
+__all__ = ["ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster", "SPEC_TOPIC"]
 
 DEFAULT_SERVICE_QUEUE = "cluster.backend"
+
+#: bus topic carrying every applied spec that changes a portal stanza
+SPEC_TOPIC = "cluster.spec.applied"
+
+#: plan ops the portal applies to itself, not the cluster
+_PORTAL_OPS = ("set_admission", "set_toolchains")
+
+#: cap on retained exploration reports (oldest evicted first).
+_MAX_EXPLORE_REPORTS = 256
+
+_EXPLORE_ALGORITHMS = ("dpor", "naive", "dpor-distributed")
 
 
 class LocalCluster:
@@ -51,8 +72,11 @@ class LocalCluster:
 
     def __init__(self, distributor: JobDistributor) -> None:
         self.distributor = distributor
-        #: declarative-spec management surface (describe / validate / apply)
+        #: declarative-spec management: the one Reconfigurer per distributor
         self.reconfigurer = Reconfigurer(distributor)
+        self._spec_listeners: list[Callable[[dict, list], None]] = []
+        #: job id → finished exploration report dict.
+        self._explore_reports: dict[str, dict] = {}
 
     def job(self, owner: str, job_id: str, view_all: bool = False) -> Job:
         """The live job ``owner`` may see: the one ownership check."""
@@ -85,18 +109,56 @@ class LocalCluster:
         """The live deployment as a spec document."""
         return self.reconfigurer.describe()
 
-    def spec_validate(self, doc: dict) -> dict:
-        """Collect-all validation report for ``doc`` (never raises)."""
-        return validate_spec(doc, source="request").as_dict()
-
     def spec_reconfigure(self, doc: dict, apply: bool = False, manage: bool = False) -> dict:
         """Plan (default) or apply ``doc``; ``manage`` asserts the caller's
-        ``manage_cluster`` capability."""
+        ``manage_cluster`` capability.
+
+        A document the planner refuses answers ``{"ok": False, "error",
+        "findings"}``: the findings say why, on either transport.
+        """
         if not manage:
             raise AuthorizationError("cluster.spec.reconfigure needs manage_cluster")
-        if not apply:
-            return {"applied": False, "plan": self.reconfigurer.plan(doc).as_dict()}
-        return {"applied": True, **self.reconfigurer.apply(doc)}
+        try:
+            if not apply:
+                return {"applied": False, "plan": self.reconfigurer.plan(doc).as_dict()}
+            result = {"applied": True, **self.reconfigurer.apply(doc)}
+        except SpecError as exc:
+            return {"ok": False, "error": str(exc),
+                    "findings": [f.as_dict() for f in exc.findings]}
+        ops = [a["op"] for a in result["plan"]["actions"] if a["op"] in _PORTAL_OPS]
+        if ops:
+            for listener in self._spec_listeners:
+                listener(doc, ops)
+        return result
+
+    def on_spec_applied(self, listener: Callable[[dict, list], None]) -> None:
+        """Call ``listener(doc, ops)`` after every apply whose plan changes a
+        portal stanza; ``ops`` are those plan ops."""
+        self._spec_listeners.append(listener)
+
+    # -- observability --------------------------------------------------------
+    def events(self, min_severity: str | None = None, view_all: bool = False) -> list[dict]:
+        """The newest 200 records of the distributor's event log."""
+        if not view_all:
+            raise AuthorizationError("the event log needs view_all_jobs")
+        events = self.distributor.telemetry.events.snapshot(min_severity=min_severity, limit=200)
+        return [e.as_dict() for e in events]
+
+    def accounting(self, view_all: bool = False) -> dict:
+        """Finished-job accounting: the summary and the newest 200 records."""
+        if not view_all:
+            raise AuthorizationError("accounting needs view_all_jobs")
+        monitor = self.distributor.monitor
+        fields = ("job_id", "name", "owner", "state", "total_cores", "wait_s", "runtime_s")
+        return {
+            "summary": monitor.summary(),
+            "records": [{f: getattr(rec, f) for f in fields} for rec in monitor.records[-200:]],
+        }
+
+    def job_trace(self, owner: str, job_id: str, view_all: bool = False) -> dict:
+        """The job's span tree, derived from its attempt lineage."""
+        job = self.job(owner, job_id, view_all)
+        return self.distributor.telemetry.job_trace(job).as_dict()
 
     # -- jobs -----------------------------------------------------------------
     def submit(self, request: JobRequest) -> dict:
@@ -162,6 +224,84 @@ class LocalCluster:
     def cancel(self, owner: str, job_id: str, view_all: bool = False) -> bool:
         return self.distributor.cancel(self.job(owner, job_id, view_all).id)
 
+    # -- schedule exploration ------------------------------------------------
+    def explore(
+        self,
+        owner: str,
+        lab: str,
+        variant: str = "broken",
+        algorithm: str = "dpor",
+        max_schedules: int = 2000,
+        max_seconds: float | None = 30.0,
+    ) -> dict:
+        """Submit a schedule exploration of a :mod:`repro.labs.explore`
+        program as a cluster job; returns its ``describe()``.
+
+        ``algorithm`` is ``"dpor"``, ``"naive"`` (plain DFS) or
+        ``"dpor-distributed"`` (worker jobs fan out onto this cluster).
+        """
+        if algorithm not in _EXPLORE_ALGORITHMS:
+            raise JobError(
+                f"unknown exploration algorithm {algorithm!r} "
+                f"(expected one of {', '.join(_EXPLORE_ALGORITHMS)})"
+            )
+        if max_schedules < 1:
+            raise JobError(f"max_schedules must be >= 1, got {max_schedules}")
+        from repro.labs.explore import program
+
+        try:
+            factory = program(lab, variant)
+        except KeyError as exc:
+            raise JobError(str(exc)) from None
+        dist = self.distributor
+
+        def run_explore(job: Job) -> dict:
+            if algorithm == "dpor-distributed":
+                from repro.cluster.workloads import ExploreJobSpec, run_exploration
+
+                res = run_exploration(
+                    dist,
+                    factory,
+                    ExploreJobSpec(
+                        partitions=2, seed_schedules=4, wave_budget=max_schedules
+                    ),
+                )
+            else:
+                from repro.interleave.explorer import explore as explore_schedules
+                from repro.telemetry.instruments import ExploreTelemetry
+
+                res = explore_schedules(
+                    factory,
+                    max_schedules=max_schedules,
+                    strategy="dpor" if algorithm == "dpor" else "dfs",
+                    max_seconds=max_seconds,
+                )
+                # the distributed run records itself
+                ExploreTelemetry(dist.telemetry.registry).record(res)
+            report = res.as_dict()
+            report.update({"lab": lab, "variant": variant, "requested_algorithm": algorithm})
+            self._explore_reports[job.id] = report
+            while len(self._explore_reports) > _MAX_EXPLORE_REPORTS:
+                self._explore_reports.pop(next(iter(self._explore_reports)))
+            job.stdout.write_line(res.summary())
+            return report
+
+        request = JobRequest(
+            name=f"explore-{lab}-{variant}",
+            owner=owner,
+            kind=JobKind.SEQUENTIAL,
+            callable=run_explore,
+        )
+        return dist.submit(request).describe()
+
+    def explore_report(self, owner: str, job_id: str, view_all: bool = False) -> dict:
+        """The finished exploration report, or the job's state while it runs."""
+        job = self.job(owner, job_id, view_all)
+        report = self._explore_reports.get(job.id)
+        if report is None:
+            return {"state": job.state.value, "ready": False, "error": job.error}
+        return {"state": job.state.value, "ready": True, "report": report}
+
 
 def _job_args(params: dict) -> tuple[str, str, bool]:
     """``(owner, job_id, view_all)`` off the wire."""
@@ -185,6 +325,9 @@ class ClusterBackendService:
         self.bus = bus
         self.distributor = distributor
         self.cluster = cluster = LocalCluster(distributor)
+        cluster.on_spec_applied(
+            lambda doc, ops: bus.publish(SPEC_TOPIC, dumps({"spec": doc, "ops": ops}))
+        )
         self.reply_latency_s = reply_latency_s
         self.server = RpcServer(bus, service_queue, reply_latency_s)
         for method, handler in (
@@ -195,8 +338,10 @@ class ClusterBackendService:
             ("cluster.fleet", lambda p: cluster.fleet_status()),
             ("cluster.fleet.log", lambda p: cluster.fleet_log()),
             ("cluster.spec.describe", lambda p: cluster.spec_describe()),
-            ("cluster.spec.validate", lambda p: cluster.spec_validate(p.get("spec"))),
             ("cluster.spec.reconfigure", self._h_spec_reconfigure),
+            ("cluster.events", self._h_events),
+            ("cluster.accounting", lambda p: cluster.accounting(bool(p.get("view_all")))),
+            ("cluster.explore", self._h_explore),
             ("jobs.submit", self._h_submit),
             ("jobs.describe", lambda p: cluster.describe(*_job_args(p))),
             ("jobs.list", lambda p: cluster.list_jobs(
@@ -205,6 +350,8 @@ class ClusterBackendService:
             ("jobs.fingerprint", lambda p: cluster.output_fingerprint(*_job_args(p))),
             ("jobs.input", self._h_input),
             ("jobs.cancel", lambda p: {"ok": cluster.cancel(*_job_args(p))}),
+            ("jobs.trace", lambda p: cluster.job_trace(*_job_args(p))),
+            ("jobs.explore_report", lambda p: cluster.explore_report(*_job_args(p))),
             ("service.stats", self._h_stats),
         ):
             self.server.register(method, handler)
@@ -235,6 +382,21 @@ class ClusterBackendService:
         return self.cluster.spec_reconfigure(
             doc, bool(params.get("apply")), bool(params.get("manage"))
         )
+
+    def _h_events(self, params: dict) -> list[dict]:
+        severity = params.get("min_severity")
+        if severity is not None and severity not in SEVERITIES:
+            raise BusError(f"cluster.events needs a 'min_severity' in {SEVERITIES}")
+        return self.cluster.events(severity, bool(params.get("view_all")))
+
+    def _h_explore(self, params: dict) -> dict:
+        *names, schedules, seconds = (params.get(k) for k in (
+            "owner", "lab", "variant", "algorithm", "max_schedules", "max_seconds"))
+        if not (all(isinstance(v, str) for v in names) and type(schedules) is int
+                and (seconds is None or type(seconds) in (int, float))):
+            raise BusError("cluster.explore needs string owner/lab/variant/algorithm, "
+                           "an integer max_schedules and a numeric or null max_seconds")
+        return self.cluster.explore(*names, schedules, seconds)
 
     def _h_submit(self, params: dict) -> dict:
         wire = params.get("request")

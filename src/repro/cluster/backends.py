@@ -268,12 +268,9 @@ class SubprocessBackend(ExecutionBackend):
             return
         if run.stdin in self._sel.get_map():
             self._sel.unregister(run.stdin)
-        try:
-            while (line := run.job.stdin.read_line(timeout=0)) is not None:
-                run.inbuf += (line + "\n").encode()
-            eof = True
-        except TimeoutError:  # nothing more queued yet
-            pass
+        lines, closed = run.job.stdin.take()
+        run.inbuf += "".join(line + "\n" for line in lines).encode()
+        eof = eof or closed
         try:
             run.inbuf = run.inbuf[os.write(run.stdin.fileno(), run.inbuf):]
         except BlockingIOError:

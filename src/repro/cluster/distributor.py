@@ -596,8 +596,6 @@ class JobDistributor:
     def _timeout_running(self, job: Job, wall: bool) -> None:
         """Kill a RUNNING attempt whose deadline passed (lock held)."""
         handle = self._handles.pop(job.id, None)
-        if handle is not None:
-            handle.request_cancel()  # its eventual callback is now a zombie
         label = "wallclock timeout" if wall else "timeout"
         self._faults["wall_timeouts" if wall else "timeouts"] += 1
         self._finish_attempt(job, "timeout", label)
@@ -610,6 +608,8 @@ class JobDistributor:
             job.stdout.close()
             job.stderr.close()
             self._seal(job)
+        if handle is not None:  # only now, as in fail_node
+            handle.request_cancel()  # its eventual callback is now a zombie
 
     # -- node fault API ---------------------------------------------------------
     def fail_node(self, node_name: str) -> list[Job]:
@@ -645,22 +645,23 @@ class JobDistributor:
                 if job is None:
                     continue
                 handle = self._handles.pop(job_id, None)
+                if job.state is JobState.RUNNING:  # else it finished concurrently
+                    self._faults["jobs_orphaned"] += 1
+                    self._finish_attempt(job, "node_lost", f"node {node_name} failed")
+                    if self._should_retry(job, "node_lost", now):
+                        job.transition(JobState.RETRYING)
+                        self._requeue(job, "node_lost")
+                        rerouted.append(job)
+                    else:
+                        job.error = f"node {node_name} failed"
+                        job.transition(JobState.FAILED)
+                        job.stdout.close()
+                        job.stderr.close()
+                        self._seal(job)
                 if handle is not None:
-                    handle.request_cancel()
-                if job.state is not JobState.RUNNING:
-                    continue  # finished concurrently; nothing to reroute
-                self._faults["jobs_orphaned"] += 1
-                self._finish_attempt(job, "node_lost", f"node {node_name} failed")
-                if self._should_retry(job, "node_lost", now):
-                    job.transition(JobState.RETRYING)
-                    self._requeue(job, "node_lost")
-                    rerouted.append(job)
-                else:
-                    job.error = f"node {node_name} failed"
-                    job.transition(JobState.FAILED)
-                    job.stdout.close()
-                    job.stderr.close()
-                    self._seal(job)
+                    # Only once the job left RUNNING: the backend seals an
+                    # attempt it never spawned at once, on its own thread.
+                    handle.request_cancel()  # its eventual callback is now a zombie
         self.dispatch()
         return rerouted
 

@@ -91,15 +91,6 @@ class StreamCapture:
                 lines = list(islice(self._lines, start, None))
             return lines, end, truncated
 
-    def text_since(self, since: int = 0) -> tuple[str, int, bool]:
-        """Like :meth:`read_since` but pre-joined with newlines.
-
-        One string instead of a list of lines — what the HTML job page
-        and log download want, without a per-poll list of substrings.
-        """
-        lines, end, truncated = self.read_since(since)
-        return "\n".join(lines), end, truncated
-
     def tail(self, n: int = 20) -> list[str]:
         """The newest ``n`` lines (copies only those ``n``)."""
         with self._lock:
@@ -115,16 +106,14 @@ class StreamCapture:
 class InteractiveChannel:
     """stdin feed for interactive jobs.
 
-    The portal's input box calls :meth:`write`; the execution backend
-    consumes with :meth:`read_line` (blocking with timeout), or with
-    ``timeout=0`` when ``on_change`` wakes it.  Closing the channel
-    delivers EOF (``None``) to readers.
+    The portal's input box calls :meth:`write`; the execution backend,
+    woken by ``on_change``, consumes with :meth:`take`, which never
+    blocks.  Closing the channel delivers EOF once the queue is taken.
     """
 
     def __init__(self, name: str = "stdin") -> None:
         self.name = name
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._buffer: Deque[str] = deque()
         self._closed = False
         #: called after every write and close; the subprocess backend
@@ -133,20 +122,17 @@ class InteractiveChannel:
 
     def write(self, text: str) -> None:
         """Queue input text (split into lines)."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ValueError(f"stdin channel {self.name} is closed")
-            for line in text.splitlines():
-                self._buffer.append(line)
-            self._cond.notify_all()
+            self._buffer.extend(text.splitlines())
         if self.on_change is not None:
             self.on_change()
 
     def close(self) -> None:
         """Send EOF to the consumer."""
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
         if self.on_change is not None:
             self.on_change()
 
@@ -155,19 +141,10 @@ class InteractiveChannel:
         with self._lock:
             return self._closed
 
-    def read_line(self, timeout: Optional[float] = None) -> Optional[str]:
-        """Next input line; ``None`` on EOF. Raises TimeoutError on timeout."""
-        with self._cond:
-            while not self._buffer:
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout):
-                    raise TimeoutError(f"no stdin on {self.name} within {timeout}s")
-            return self._buffer.popleft()
-
-    def drain(self) -> str:
-        """All currently queued input joined by newlines (non-blocking)."""
+    def take(self) -> tuple[list[str], bool]:
+        """Every queued line, and whether the channel is closed (EOF once
+        these lines are consumed).  Never blocks."""
         with self._lock:
-            out = "\n".join(self._buffer)
+            lines = list(self._buffer)
             self._buffer.clear()
-            return out
+            return lines, self._closed

@@ -11,8 +11,8 @@ requirement Section II lists:
   (browse, upload, download, edit, copy, move, rename, delete inside a
   per-user home, with path-traversal protection);
 * *compilation and execution of user programs on the cluster* —
-  :mod:`~repro.portal.jobsvc` gluing the toolchain registry to the job
-  distributor;
+  :mod:`~repro.portal.jobsvc` gluing the toolchain registry to the
+  cluster port;
 * *monitoring the standard streams, and ... input* — offset-polling
   output endpoints and an interactive stdin endpoint.
 

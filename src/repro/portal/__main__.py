@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> None:
         else:
             app.users.save(args.users_file)
             print(f"created user store at {args.users_file}")
-    grid = app.jobsvc.distributor.grid
+    grid = app.proxy.distributor.grid
     print(f"user homes: {root}")
     print(f"grid: {len(grid.segments)} segment(s), {grid.cores_total} cores")
     serve(app, host=args.host, port=args.port)

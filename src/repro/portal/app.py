@@ -8,10 +8,11 @@ over the bus in a scale-out worker
 one request path, one error table and one ownership check (in
 ``LocalCluster``, behind the bus for a worker).
 
-JSON API (all under ``/api``; cookie- or bearer-authenticated).  Routes
-marked † need in-process state — the home directories, the toolchains,
-the live distributor — and are registered only when the app is given a
-:class:`~repro.portal.jobsvc.JobService`:
+Every route below is registered whatever the port: the home directories
+and the toolchains are the portal's own (shared by a fleet's workers),
+and everything else is a port method.
+
+JSON API (all under ``/api``; cookie- or bearer-authenticated):
 
 ==========  =================================  ==========================================
 POST        /api/login                         {username, password} → session cookie
@@ -19,46 +20,45 @@ POST        /api/logout                        end session (cookie or bearer tok
 GET         /api/whoami                        current user
 POST        /api/users                         create account (admin)
 POST        /api/password                      {old, new}
-GET         /api/files?path=                   † directory listing
-GET         /api/files/content?path=           † download file
-PUT         /api/files/content?path=           † create/overwrite file (raw body)
-POST        /api/files/upload                  † multipart upload (fields = files)
-POST        /api/files/mkdir                   † {path}
-POST        /api/files/copy                    † {src, dst}
-POST        /api/files/move                    † {src, dst}
-POST        /api/files/rename                  † {path, new_name}
-DELETE      /api/files?path=                   † delete file/tree
-POST        /api/compile                       † {path[, language]}
-POST        /api/lint                          † {path} or {source} — static concurrency lint
-POST        /api/jobs                          {path, kind, n_tasks, ...} compile+lint+run;
-                                               without a JobService: an argv job spec
+GET         /api/files?path=                   directory listing
+GET         /api/files/content?path=           download file
+PUT         /api/files/content?path=           create/overwrite file (raw body)
+POST        /api/files/upload                  multipart upload (fields = files)
+POST        /api/files/mkdir                   {path}
+POST        /api/files/copy                    {src, dst}
+POST        /api/files/move                    {src, dst}
+POST        /api/files/rename                  {path, new_name}
+DELETE      /api/files?path=                   delete file/tree
+POST        /api/compile                       {path[, language]}
+POST        /api/lint                          {path} or {source} — static concurrency lint
+POST        /api/jobs                          an argv job spec; with {path}: compile+lint+run
 GET         /api/jobs                          this user's jobs
 GET         /api/jobs/<job_id>                 one job
 GET         /api/jobs/<job_id>/output?since=N  poll stdout/stderr
 POST        /api/jobs/<job_id>/input           {text} — interactive stdin
 POST        /api/jobs/<job_id>/cancel          cancel
-POST        /api/explore                       † schedule exploration of a lab program
-GET         /api/explore/<job_id>              † its finished report
+POST        /api/explore                       schedule exploration of a lab program
+GET         /api/explore/<job_id>              its finished report
 GET         /api/cluster/status                grid utilisation snapshot
-GET         /api/cluster/accounting            † finished-job records (instructor)
-GET         /api/cluster/spec                  † live config as a spec document
-POST        /api/cluster/validate              † collect-all spec validation (always 200)
-POST        /api/cluster/reconfigure           † {spec[, apply]} — plan / apply (instructor)
+GET         /api/cluster/accounting            finished-job records (instructor)
+GET         /api/cluster/spec                  live config as a spec document
+POST        /api/cluster/validate              collect-all spec validation (always 200)
+POST        /api/cluster/reconfigure           {spec[, apply]} — plan / apply (instructor)
 GET         /api/fleet                         elastic-fleet snapshot (pools, pending)
-GET         /api/quota                         † home-directory usage
+GET         /api/quota                         home-directory usage
 GET         /metrics                           Prometheus text format (unauthenticated)
-GET         /debug/trace/<job_id>              † job span tree (HTML, or ?format=json)
+GET         /debug/trace/<job_id>              job span tree (HTML, or ?format=json)
 GET         /debug/requests                    recent request traces (admin)
-GET         /debug/events                      † structured event log (admin)
+GET         /debug/events                      structured event log (admin)
 GET         /debug/fleet                       fleet scaling-decision log (admin)
 ==========  =================================  ==========================================
 
-HTML pages (†): ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``,
+HTML pages: ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``,
 ``GET /jobs/<job_id>``, ``POST /jobs/<job_id>/input``.
 
-The spec routes stay in-process because the monolith's
-:class:`~repro.spec.Reconfigurer` also retunes this app's admission
-controller and toolchains, which the back end cannot reach.
+A spec apply that changes the admission or toolchains stanza reaches
+every app over the port (``on_spec_applied``), and each retunes its own
+admission controller and toolchain registry.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from repro._errors import (
     ReproError,
     RpcTimeout,
     SchedulingError,
-    SpecError,
     ToolchainNotFound,
 )
 from repro.bus.service import LocalCluster
@@ -98,12 +97,13 @@ from repro.portal.jobsvc import JobService
 from repro.portal.respcache import ResponseCache, conditional_get
 from repro.portal.routing import Router
 from repro.portal.sessions import SessionStore
-from repro.spec import Reconfigurer, validate as validate_spec
+from repro.spec import build_admission, build_toolchains, validate as validate_spec
 from repro.telemetry.export import (
     PROMETHEUS_CONTENT_TYPE,
     render_json,
     render_prometheus,
 )
+from repro.telemetry.events import SEVERITIES
 from repro.telemetry.instruments import AnalysisTelemetry, PortalTelemetry
 from repro.telemetry.registry import MetricsRegistry
 
@@ -130,6 +130,14 @@ _ERROR_STATUS: list[tuple[type, int]] = [
 ]
 
 
+def _text(body: dict, key: str, default: Optional[str] = "") -> Optional[str]:
+    """A string field of a JSON body (``default`` when absent); 400 otherwise."""
+    value = body.get(key, default)
+    if value is not default and not isinstance(value, str):
+        raise HttpError(400, f"{key} must be a string")
+    return value
+
+
 class PortalApp:
     """The WSGI callable.
 
@@ -141,9 +149,7 @@ class PortalApp:
         The cluster port: a :class:`~repro.bus.service.LocalCluster`, or
         a :class:`~repro.bus.proxy.ClusterProxy` in a scale-out worker.
     jobsvc:
-        The compile-and-run service; its presence registers the routes
-        that need in-process state (†), and the port must then be a
-        ``LocalCluster`` over the same distributor.
+        The compile-and-run service, over the same port.
     admission:
         Front-door admission control; ``None`` admits everything.
     cache_size:
@@ -164,7 +170,7 @@ class PortalApp:
         users: UserStore,
         sessions: SessionStore,
         proxy,
-        jobsvc: Optional[JobService] = None,
+        jobsvc: JobService,
         admission: Optional[AdmissionController] = None,
         cache_size: int = 256,
         registry=None,
@@ -186,25 +192,17 @@ class PortalApp:
         bind_admission(self.registry, admission)
         #: legacy counter key → registry child (same keys as the PR 2 dict).
         self._counters = self.telemetry.c
-        if jobsvc is not None:
-            if getattr(proxy, "distributor", None) is not jobsvc.distributor:
-                raise ValueError(
-                    "in-process routes need a LocalCluster over the JobService's distributor"
-                )
-            self.files: FileManager = jobsvc.files
-            #: static-analyzer counters; handed to the job service so both
-            #: the explicit lint endpoint and the pre-submit pass are tallied.
-            self.analysis_telemetry = AnalysisTelemetry(self.registry)
-            jobsvc.analysis_telemetry = self.analysis_telemetry
-            #: declarative-spec management: validate / describe / reconfigure
-            self.reconfigurer = Reconfigurer(
-                jobsvc.distributor, admission=admission, jobsvc=jobsvc
-            )
-            # file mutations invalidate the owning user's cached listings,
-            # file contents and dashboard in O(1)
-            self.files.on_mutation(
-                lambda username: self.cache.invalidate(f"files:{username}")
-            )
+        self.files: FileManager = jobsvc.files
+        #: static-analyzer counters; handed to the job service so both
+        #: the explicit lint endpoint and the pre-submit pass are tallied.
+        self.analysis_telemetry = AnalysisTelemetry(self.registry)
+        jobsvc.analysis_telemetry = self.analysis_telemetry
+        # file mutations invalidate the owning user's cached listings,
+        # file contents and dashboard in O(1)
+        self.files.on_mutation(
+            lambda username: self.cache.invalidate(f"files:{username}")
+        )
+        proxy.on_spec_applied(self._apply_portal_stanzas)
         self._register_routes()
 
     # -- WSGI entry ---------------------------------------------------------
@@ -321,14 +319,19 @@ class PortalApp:
             raise AuthenticationError("login required")
         return request.user
 
-    def _owned_job(self, user: User, job_id: str):
-        """The live job ``user`` may see (in-process routes only)."""
-        return self.proxy.job(user.username, job_id, user.can("view_all_jobs"))
+    def _apply_portal_stanzas(self, desired: dict, ops: list) -> None:
+        """Retune this app from an applied spec's admission and toolchains."""
+        fresh = build_admission(desired) if "set_admission" in ops else None
+        if fresh is not None and self.admission is not None:
+            for knob in ("rate_per_s", "burst", "max_inflight",
+                         "queue_limit", "max_users", "drain_rate_per_s"):
+                setattr(self.admission, knob, getattr(fresh, knob))
+        if "set_toolchains" in ops:
+            self.jobsvc.registry = build_toolchains(desired)
 
     # -- routes ------------------------------------------------------------------
     def _register_routes(self) -> None:
         r = self.router
-        local = self.jobsvc is not None
 
         # --- session ---
         r.add("POST", "/api/login", self._api_login)
@@ -338,7 +341,7 @@ class PortalApp:
         r.add("POST", "/api/password", self._api_change_password)
 
         # --- jobs and cluster, through the port ---
-        r.add("POST", "/api/jobs", self._api_run if local else self._api_submit)
+        r.add("POST", "/api/jobs", self._api_submit)
         r.add("GET", "/api/jobs", self._api_list_jobs)
         r.add("GET", "/api/jobs/<job_id>", self._api_get_job)
         r.add("GET", "/api/jobs/<job_id>/output", self._api_job_output)
@@ -352,10 +355,7 @@ class PortalApp:
         r.add("GET", "/debug/requests", self._debug_requests)
         r.add("GET", "/debug/fleet", self._debug_fleet)
 
-        if not local:
-            return
-
-        # --- files (†) ---
+        # --- files ---
         r.add("GET", "/api/files", self._api_list_files)
         r.add("DELETE", "/api/files", self._api_delete_file)
         r.add("GET", "/api/files/content", self._api_read_file)
@@ -367,13 +367,13 @@ class PortalApp:
         r.add("POST", "/api/files/rename", self._api_rename)
         r.add("GET", "/api/quota", self._api_quota)
 
-        # --- compile, lint, explore (†) ---
+        # --- compile, lint, explore ---
         r.add("POST", "/api/compile", self._api_compile)
         r.add("POST", "/api/lint", self._api_lint)
         r.add("POST", "/api/explore", self._api_explore)
         r.add("GET", "/api/explore/<job_id>", self._api_explore_report)
 
-        # --- cluster management (†) ---
+        # --- cluster management ---
         r.add("GET", "/api/cluster/accounting", self._api_cluster_accounting)
         r.add("GET", "/api/cluster/spec", self._api_cluster_spec)
         r.add("POST", "/api/cluster/validate", self._api_cluster_validate)
@@ -381,7 +381,7 @@ class PortalApp:
         r.add("GET", "/debug/trace/<job_id>", self._debug_trace)
         r.add("GET", "/debug/events", self._debug_events)
 
-        # --- HTML pages (†) ---
+        # --- HTML pages ---
         r.add("GET", "/", self._page_dashboard)
         r.add("GET", "/jobs/<job_id>", self._page_job)
         r.add("POST", "/jobs/<job_id>/input", self._page_job_input)
@@ -434,15 +434,43 @@ class PortalApp:
 
     # -- job handlers (through the port) ------------------------------------------------
     def _api_submit(self, req: Request) -> Response:
-        """An argv job spec, for a portal without a JobService."""
+        """Submit an argv job spec as it stands, or, given ``path``, compile
+        that file from the user's home and run the artifact.
+
+        Compile-and-run also takes ``language``, ``args``, ``stdin`` and
+        ``max_retries``.  Either body is validated by one
+        :meth:`JobRequest.from_wire` parse before anything compiles or
+        crosses the bus.
+        """
         user = self._require_user(req)
         wire = dict(req.json_object())
         wire["owner"] = user.username  # the session decides, not the body
+        path = _text(wire, "path", None)
+        language = _text(wire, "language", None)
         try:
-            request = JobRequest.from_wire(wire)  # validate before crossing the bus
-        except (TypeError, ValueError) as exc:
+            args = tuple(str(a) for a in wire.pop("args", ()))
+            if "stdin" in wire:
+                wire["stdin_data"] = wire.pop("stdin")
+            max_retries = int(wire.pop("max_retries", 0))
+            if max_retries < 0:
+                raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+            if max_retries:
+                wire["retry"] = {"max_attempts": max_retries + 1}
+            if path is not None:
+                # the artifact's argv replaces this placeholder
+                wire.update(argv=[], timeout_s=wire.get("timeout_s", 120.0))
+            request = JobRequest.from_wire(wire)
+        except (TypeError, ValueError, JobError) as exc:
             raise HttpError(400, f"invalid job spec: {exc}") from None
-        return Response.json({"job": self.proxy.submit(request)}, status=201)
+        if path is None:
+            return Response.json({"job": self.proxy.submit(request)}, status=201)
+        report, job = self.jobsvc.run(user, path, request, language, args)
+        if job is None:
+            return Response.json({"compile": report, "job": None}, status=400)
+        # pre-submit static analysis (Python sources only, else None);
+        # advisory: findings never block the run
+        lint = self.jobsvc.lint_report(job["id"])
+        return Response.json({"compile": report, "job": job, "lint": lint}, status=201)
 
     def _api_list_jobs(self, req: Request) -> Response:
         user = self._require_user(req)
@@ -522,7 +550,7 @@ class PortalApp:
         self._require_user(req)
         return Response.json(self.proxy.fleet_status())
 
-    # -- file handlers (†) -----------------------------------------------------------------
+    # -- file handlers -----------------------------------------------------------------
     def _api_list_files(self, req: Request) -> Response:
         user = self._require_user(req)
         path = req.query.get("path", "")
@@ -593,25 +621,25 @@ class PortalApp:
 
     def _api_mkdir(self, req: Request) -> Response:
         user = self._require_user(req)
-        self.files.mkdir(user.username, req.json_object().get("path", ""))
+        self.files.mkdir(user.username, _text(req.json_object(), "path"))
         return Response.json({"ok": True}, status=201)
 
     def _api_copy(self, req: Request) -> Response:
         user = self._require_user(req)
         body = req.json_object()
-        self.files.copy(user.username, body.get("src", ""), body.get("dst", ""))
+        self.files.copy(user.username, _text(body, "src"), _text(body, "dst"))
         return Response.json({"ok": True})
 
     def _api_move(self, req: Request) -> Response:
         user = self._require_user(req)
         body = req.json_object()
-        self.files.move(user.username, body.get("src", ""), body.get("dst", ""))
+        self.files.move(user.username, _text(body, "src"), _text(body, "dst"))
         return Response.json({"ok": True})
 
     def _api_rename(self, req: Request) -> Response:
         user = self._require_user(req)
         body = req.json_object()
-        new_path = self.files.rename(user.username, body.get("path", ""), body.get("new_name", ""))
+        new_path = self.files.rename(user.username, _text(body, "path"), _text(body, "new_name"))
         return Response.json({"ok": True, "path": new_path})
 
     def _api_delete_file(self, req: Request) -> Response:
@@ -628,11 +656,11 @@ class PortalApp:
             }
         )
 
-    # -- compile, lint, run, explore (†) --------------------------------------------------
+    # -- compile, lint, explore --------------------------------------------------
     def _api_compile(self, req: Request) -> Response:
         user = self._require_user(req)
         body = req.json_object()
-        report = self.jobsvc.compile(user, body.get("path", ""), body.get("language"))
+        report = self.jobsvc.compile(user, _text(body, "path"), _text(body, "language", None))
         return Response.json(report, status=200 if report["ok"] else 400)
 
     def _api_lint(self, req: Request) -> Response:
@@ -649,42 +677,10 @@ class PortalApp:
                 str(body["source"]), str(body.get("path") or "<submission>")
             )
             return Response.json(report.as_dict())
-        report = self.jobsvc.lint(user, body.get("path", ""))
+        report = self.jobsvc.lint(user, _text(body, "path"))
         if report is None:
             raise HttpError(400, "static analysis supports Python lab programs only")
         return Response.json(report.as_dict())
-
-    def _api_run(self, req: Request) -> Response:
-        """Compile a source file from the user's home and run it."""
-        user = self._require_user(req)
-        body = req.json_object()
-        report, job = self.jobsvc.run(
-            user,
-            body.get("path", ""),
-            language=body.get("language"),
-            kind=body.get("kind", "sequential"),
-            n_tasks=int(body.get("n_tasks", 1)),
-            cores_per_task=int(body.get("cores_per_task", 1)),
-            args=tuple(body.get("args", ())),
-            stdin_data=body.get("stdin", ""),
-            timeout_s=body.get("timeout_s", 120.0),
-            priority=int(body.get("priority", 0)),
-            need_gpu=bool(body.get("need_gpu", False)),
-            max_retries=int(body.get("max_retries", 0)),
-            wallclock_timeout_s=body.get("wallclock_timeout_s"),
-        )
-        if job is None:
-            return Response.json({"compile": report, "job": None}, status=400)
-        return Response.json(
-            {
-                "compile": report,
-                "job": job.describe(),
-                # pre-submit static analysis (Python sources only, else None);
-                # advisory: findings never block the run
-                "lint": self.jobsvc.lint_report(job.id),
-            },
-            status=201,
-        )
 
     def _api_explore(self, req: Request) -> Response:
         """Submit a systematic schedule exploration of a named lab program.
@@ -694,50 +690,38 @@ class PortalApp:
         ``GET /api/explore/<job_id>`` for the finished report.
         """
         user = self._require_user(req)
+        user.require("submit_job")
         body = req.json_object()
-        max_seconds = body.get("max_seconds", 30.0)
-        job = self.jobsvc.explore(
-            user,
+        max_schedules, max_seconds = body.get("max_schedules", 2000), body.get("max_seconds", 30.0)
+        if type(max_schedules) is not int:
+            raise HttpError(400, "max_schedules must be an integer")
+        if max_seconds is not None and type(max_seconds) not in (int, float):
+            raise HttpError(400, "max_seconds must be a number or null")
+        job = self.proxy.explore(
+            user.username,
             str(body.get("lab", "")),
             variant=str(body.get("variant", "broken")),
             algorithm=str(body.get("algorithm", "dpor")),
-            max_schedules=int(body.get("max_schedules", 2000)),
-            max_seconds=None if max_seconds is None else float(max_seconds),
+            max_schedules=max_schedules,
+            max_seconds=max_seconds,
         )
-        return Response.json({"job": job.describe()}, status=201)
+        return Response.json({"job": job}, status=201)
 
     def _api_explore_report(self, req: Request) -> Response:
         user = self._require_user(req)
-        job = self._owned_job(user, req.params["job_id"])
-        return Response.json(self.jobsvc.explore_report(job))
+        return Response.json(self.proxy.explore_report(
+            user.username, req.params["job_id"], user.can("view_all_jobs")
+        ))
 
-    # -- cluster management (†) -------------------------------------------------------------
+    # -- cluster management -------------------------------------------------------------
     def _api_cluster_accounting(self, req: Request) -> Response:
         user = self._require_user(req)
-        user.require("view_all_jobs")  # accounting spans every owner
-        monitor = self.jobsvc.distributor.monitor
-        return Response.json(
-            {
-                "summary": monitor.summary(),
-                "records": [
-                    {
-                        "job_id": rec.job_id,
-                        "name": rec.name,
-                        "owner": rec.owner,
-                        "state": rec.state,
-                        "total_cores": rec.total_cores,
-                        "wait_s": rec.wait_s,
-                        "runtime_s": rec.runtime_s,
-                    }
-                    for rec in monitor.records[-200:]
-                ],
-            }
-        )
+        return Response.json(self.proxy.accounting(user.can("view_all_jobs")))
 
     def _api_cluster_spec(self, req: Request) -> Response:
         """The live deployment serialised as a spec document."""
         self._require_user(req)
-        return Response.json({"spec": self.reconfigurer.describe()})
+        return Response.json({"spec": self.proxy.spec_describe()})
 
     def _api_cluster_validate(self, req: Request) -> Response:
         """Collect-all static validation of a posted spec document.
@@ -766,28 +750,13 @@ class PortalApp:
         doc = body.get("spec")
         if not isinstance(doc, dict):
             raise HttpError(400, 'body must carry {"spec": {...}}')
-        rc = self.reconfigurer
-        if not body.get("apply", False):
-            try:
-                plan = rc.plan(doc)
-            except SpecError as exc:
-                return Response.json(
-                    {"ok": False, "error": str(exc),
-                     "findings": [f.as_dict() for f in exc.findings]},
-                    status=400,
-                )
-            return Response.json({"ok": True, "applied": False, "plan": plan.as_dict()})
-        try:
-            result = rc.apply(doc)
-        except SpecError as exc:
-            status = 400 if exc.findings else 409
-            return Response.json(
-                {"ok": False, "error": str(exc),
-                 "findings": [f.as_dict() for f in exc.findings]},
-                status=status,
-            )
-        self.cache.invalidate("cluster")
-        return Response.json({"ok": True, "applied": True, **result})
+        apply = bool(body.get("apply", False))
+        result = self.proxy.spec_reconfigure(doc, apply, manage=True)
+        if result.get("ok") is False:
+            return Response.json(result, status=400 if result["findings"] else 409)
+        if apply:
+            self.cache.invalidate("cluster")
+        return Response.json({"ok": True, **result})
 
     # -- observability handlers --------------------------------------------------------
     def _metrics(self, req: Request) -> Response:
@@ -831,37 +800,33 @@ class PortalApp:
         runs with telemetry disabled.
         """
         user = self._require_user(req)
-        job = self._owned_job(user, req.params["job_id"])
-        root = self.jobsvc.distributor.telemetry.job_trace(job)
+        job_id = req.params["job_id"]
+        trace = self.proxy.job_trace(user.username, job_id, user.can("view_all_jobs"))
         if req.query.get("format") == "json":
-            return Response.json({"job_id": job.id, "trace": root.as_dict()})
-        return Response.html(templates.trace_page(job.id, root.as_dict()))
+            return Response.json({"job_id": job_id, "trace": trace})
+        return Response.html(templates.trace_page(job_id, trace))
 
     def _debug_events(self, req: Request) -> Response:
         """The distributor's structured event log (admin debugging)."""
         user = self._require_user(req)
-        user.require("view_all_jobs")
         severity = req.query.get("severity") or None
-        events = self.jobsvc.distributor.telemetry.events.snapshot(
-            min_severity=severity, limit=200
-        )
-        return Response.json({"events": [e.as_dict() for e in events]})
+        if severity is not None and severity not in SEVERITIES:
+            raise HttpError(400, f"severity must be one of {', '.join(SEVERITIES)}")
+        return Response.json({"events": self.proxy.events(severity, user.can("view_all_jobs"))})
 
-    # -- HTML page handlers (†) ---------------------------------------------------------------
+    # -- HTML page handlers ---------------------------------------------------------------
     def _page_dashboard(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
         user = req.user
-        dist = self.jobsvc.distributor
 
         def build() -> Response:
             files = [e.as_dict() for e in self.files.list_dir(user.username)]
             jobs = self.proxy.list_jobs(user.username, user.can("view_all_jobs"))
-            cluster = dist.grid.snapshot()
-            health = dist.health.snapshot() if dist.health is not None else None
-            return Response.html(
-                templates.dashboard_page(user.username, files, jobs, cluster, health=health)
-            )
+            status = self.proxy.status()
+            return Response.html(templates.dashboard_page(
+                user.username, files, jobs, status["grid"], health=status["health"]
+            ))
 
         key = ("dash", *self.proxy.control_state())
         return self._conditional(req, f"files:{user.username}", key, build)
@@ -869,11 +834,14 @@ class PortalApp:
     def _page_job(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
-        job = self._owned_job(req.user, req.params["job_id"])
-        out, _, _ = job.stdout.text_since(0)
-        err, _, _ = job.stderr.text_since(0)
-        lint = self.jobsvc.lint_report(job.id)
-        return Response.html(templates.job_page(job.describe(), out, err, lint=lint))
+        user, job_id = req.user, req.params["job_id"]
+        view_all = user.can("view_all_jobs")
+        job = self.proxy.describe(user.username, job_id, view_all)
+        out = self.proxy.output_since(user.username, job_id, 0, view_all)
+        lint = self.jobsvc.lint_report(job_id)
+        return Response.html(
+            templates.job_page(job, out["stdout"], out["stderr_tail"], lint=lint)
+        )
 
     def _page_job_input(self, req: Request) -> Response:
         if req.user is None:
@@ -927,12 +895,12 @@ def make_default_app(
     distributor = JobDistributor(grid, SubprocessBackend())
     users = UserStore()
     users.add_user("admin", admin_password, role="admin", full_name="Portal Administrator")
-    jobsvc = JobService(FileManager(root_dir, quota_bytes=quota_bytes), distributor)
+    port = LocalCluster(distributor)
     return PortalApp(
         users,
         SessionStore(),
-        LocalCluster(distributor),
-        jobsvc,
+        port,
+        JobService(FileManager(root_dir, quota_bytes=quota_bytes), port),
         admission=admission,
         cache_size=cache_size,
         registry=distributor.telemetry.registry,

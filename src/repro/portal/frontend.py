@@ -11,10 +11,13 @@ trips, so aggregate capacity grows with the worker count until the CPU
 saturates.  An RPC runs the back-end handler on the request's own
 thread, one handler at a time across all workers.
 
-A worker is the same app as the monolith, minus the routes that need
-in-process state (files, compile, lint, explore, spec, the HTML pages):
-those need the shared home directories and toolchains, so they stay on
-the monolith.  Every cacheable read starts with a *tiny* freshness RPC
+A worker is the same app as the monolith, with the same routes.  The
+workers share one :class:`~repro.portal.files.FileManager` over
+``home_root`` (the in-process stand-in for an NFS home mount, so quota
+accounting and ``files:<user>`` cache invalidation span workers); each
+has its own :class:`~repro.portal.jobsvc.JobService`, so a pre-submit
+lint report lives on the worker that took the submission.  Every
+cacheable read starts with a *tiny* freshness RPC
 — ``cluster.version`` (version + free cores) or ``jobs.fingerprint`` —
 and uses the reply as the cache key, exactly as the monolith keys on
 its in-process port.  A quiet cluster then costs one small RPC per poll
@@ -31,6 +34,7 @@ replica ignores its own publications, which keeps the fan-out loop-free.
 from __future__ import annotations
 
 import secrets
+import tempfile
 from json import dumps, loads
 from typing import Callable, Optional
 
@@ -40,6 +44,8 @@ from repro.bus.service import DEFAULT_SERVICE_QUEUE, ClusterBackendService
 from repro.portal.admission import AdmissionController
 from repro.portal.app import PortalApp
 from repro.portal.auth import UserStore
+from repro.portal.files import FileManager
+from repro.portal.jobsvc import JobService
 
 # The portal calls conditional_get from repro.portal.app now; the name
 # stays importable here because external tracers patch this module's copy.
@@ -115,8 +121,9 @@ class FrontendFleet:
     :class:`PortalApp` over a :class:`ClusterProxy`, with a registry of
     its own) as an independent WSGI app or via
     :class:`~repro.portal.client.PortalClient`, :meth:`stop`.  All workers
-    share one :class:`UserStore` and one token secret; sessions replicate
-    over ``portal.sessions``.
+    share one :class:`UserStore`, one token secret and the home
+    directories under ``home_root`` (a fresh temporary directory when
+    ``None``); sessions replicate over ``portal.sessions``.
     """
 
     def __init__(
@@ -130,6 +137,7 @@ class FrontendFleet:
         cache_size: int = 256,
         rpc_timeout_s: float = 10.0,
         service_queue: str = DEFAULT_SERVICE_QUEUE,
+        home_root: Optional[str] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -138,6 +146,7 @@ class FrontendFleet:
             self.bus, distributor, service_queue, reply_latency_s=reply_latency_s
         )
         self.users = users if users is not None else UserStore()
+        self.files = FileManager(home_root or tempfile.mkdtemp(prefix="fleet_homes_"))
         secret = secrets.token_bytes(32)
         self.workers: list[PortalApp] = []
         self.replicators: list[SessionReplicator] = []
@@ -145,14 +154,15 @@ class FrontendFleet:
             worker_id = f"fe{i}"
             sessions = SessionStore(secret=secret)
             self.replicators.append(SessionReplicator(self.bus, sessions, worker_id))
+            proxy = ClusterProxy(
+                self.bus, service_queue, client_id=worker_id, timeout_s=rpc_timeout_s
+            )
             self.workers.append(
                 PortalApp(
                     self.users,
                     sessions,
-                    ClusterProxy(
-                        self.bus, service_queue, client_id=worker_id,
-                        timeout_s=rpc_timeout_s,
-                    ),
+                    proxy,
+                    JobService(self.files, proxy),
                     admission=(
                         admission_factory(i) if admission_factory is not None else None
                     ),

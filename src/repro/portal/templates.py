@@ -162,8 +162,7 @@ def job_page(
     """One job's detail page: metadata, placement, streams, input box.
 
     The stream arguments accept either a list of lines or pre-joined
-    text (the portal passes :meth:`StreamCapture.text_since` output so
-    no per-request line list is materialised).  ``lint`` is the
+    text.  ``lint`` is the
     pre-submit static-analysis report dict, rendered between the
     attempts table and the output streams when it has findings.
     """

@@ -4,8 +4,10 @@
 output against a live :class:`JobDistributor`:
 
 * **in-place** actions happen synchronously inside :meth:`apply` —
-  scheduler/retry/health/admission/scaling knob swaps, new segments,
-  new slaves, new pools.
+  scheduler/retry/health/scaling knob swaps, new segments, new slaves,
+  new pools.  The portal stanzas (admission, toolchains) are only
+  remembered here, for :meth:`describe`: each portal app applies them
+  to itself (``LocalCluster.on_spec_applied``).
 * **rolling-drain** actions mark the affected nodes ``DRAINING``
   (they finish running attempts, accept nothing new) and enqueue a
   drain task; :meth:`tick` completes each task once its node is idle —
@@ -34,14 +36,12 @@ from typing import Optional
 from repro._errors import ResourceError, SpecError
 from repro.cluster.spec import NodeSpec
 from repro.spec.build import (
-    build_admission,
     build_cluster_spec,
     build_health_policy,
     build_pools,
     build_retry,
     build_scaling_policy,
     build_scheduler,
-    build_toolchains,
     describe,
     ensure_valid,
 )
@@ -73,17 +73,18 @@ class DrainTask:
 class Reconfigurer:
     """Level-triggered spec application for one distributor."""
 
-    def __init__(self, dist, admission=None, jobsvc=None) -> None:
+    def __init__(self, dist) -> None:
         self.dist = dist
-        self.admission = admission
-        self.jobsvc = jobsvc
         self._pending: list[DrainTask] = []
         self._lock = threading.RLock()
+        #: the portal stanzas (admission, toolchains) of the last applied
+        #: document: the portal applies them, the cluster only remembers
+        self._portal: dict = {}
 
     # -- read side -----------------------------------------------------------
     def describe(self) -> dict:
         """The live configuration as a spec document."""
-        return describe(self.dist, admission=self.admission)
+        return {**describe(self.dist), **self._portal}
 
     def plan(self, desired: dict) -> ReconfigurePlan:
         """Static plan from live state to ``desired`` (validates both)."""
@@ -119,6 +120,9 @@ class Reconfigurer:
             self._apply_knobs(desired, ops)
             self._apply_cluster(desired, ops)
             self._apply_fleet(desired, ops)
+            self._portal = {
+                k: desired[k] for k in ("admission", "toolchains") if k in desired
+            }
             self.tick()
             return {
                 "plan": plan.as_dict(),
@@ -175,15 +179,6 @@ class Reconfigurer:
             track, policy = build_health_policy(desired)
             if dist.health is not None and track and policy is not None:
                 dist.health.policy = policy
-        if "set_admission" in ops and self.admission is not None:
-            stanza = desired.get("admission")
-            if stanza is not None:
-                fresh = build_admission(desired)
-                for knob in ("rate_per_s", "burst", "max_inflight",
-                             "queue_limit", "max_users", "drain_rate_per_s"):
-                    setattr(self.admission, knob, getattr(fresh, knob))
-        if "set_toolchains" in ops and self.jobsvc is not None:
-            self.jobsvc.registry = build_toolchains(desired)
 
     def _apply_cluster(self, desired: dict, ops: set) -> None:
         dist = self.dist

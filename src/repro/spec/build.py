@@ -328,7 +328,7 @@ class _TypeNamer:
         return {name: _node_fields(spec) for spec, name in self.types.items()}
 
 
-def describe(dist, admission=None, name: str = "live") -> dict:
+def describe(dist, name: str = "live") -> dict:
     """Serialise a live distributor back into a spec document.
 
     The result validates clean and rebuilds an equivalent cluster:
@@ -404,16 +404,6 @@ def describe(dist, admission=None, name: str = "live") -> dict:
         scaling["scale_in_cooldown_s"] = fleet.gate.in_cooldown_s
         scaling["idle_s"] = fleet.idle_s
         doc["fleet"] = {"pools": pools, "scaling": scaling}
-
-    if admission is not None:
-        doc["admission"] = {
-            "rate_per_s": admission.rate_per_s,
-            "burst": admission.burst,
-            "max_inflight": admission.max_inflight,
-            "queue_limit": admission.queue_limit,
-            "max_users": admission.max_users,
-            "drain_rate_per_s": admission.drain_rate_per_s,
-        }
 
     doc["cluster"]["node_types"] = namer.stanza()
     return doc

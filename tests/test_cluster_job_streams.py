@@ -1,6 +1,7 @@
 """Job lifecycle, requests, and stream capture."""
 
 import threading
+import time
 
 import pytest
 
@@ -137,15 +138,6 @@ class TestStreamCapture:
         lines, nxt, truncated = s.read_since(9)
         assert lines == ["9"] and nxt == 10 and not truncated
 
-    def test_text_since_matches_read_since(self):
-        s = StreamCapture(max_lines=4)
-        for i in range(6):
-            s.write_line(f"l{i}")
-        text, nxt, truncated = s.text_since(0)
-        assert text == "l2\nl3\nl4\nl5" and nxt == 6 and truncated
-        text, nxt, truncated = s.text_since(nxt)
-        assert text == "" and nxt == 6 and not truncated
-
     def test_tail_copies_only_requested_lines(self):
         s = StreamCapture()
         for i in range(100):
@@ -184,15 +176,14 @@ class TestInteractiveChannel:
     def test_write_then_read(self):
         ch = InteractiveChannel()
         ch.write("one\ntwo\n")
-        assert ch.read_line() == "one"
-        assert ch.read_line() == "two"
+        assert ch.take() == (["one", "two"], False)
 
     def test_eof_after_close(self):
         ch = InteractiveChannel()
         ch.write("last")
         ch.close()
-        assert ch.read_line() == "last"
-        assert ch.read_line() is None
+        assert ch.take() == (["last"], True)
+        assert ch.take() == ([], True)
 
     def test_write_after_close_rejected(self):
         ch = InteractiveChannel()
@@ -201,25 +192,22 @@ class TestInteractiveChannel:
             ch.write("x")
 
     def test_read_timeout(self):
+        # an empty, open channel answers at once: take never blocks
         ch = InteractiveChannel()
-        with pytest.raises(TimeoutError):
-            ch.read_line(timeout=0.05)
+        t0 = time.monotonic()
+        assert ch.take() == ([], False)
+        assert time.monotonic() - t0 < 1.0
 
-    def test_blocking_read_woken_by_writer(self):
+    def test_write_wakes_the_consumer(self):
         ch = InteractiveChannel()
-        got = []
-
-        def reader():
-            got.append(ch.read_line(timeout=5))
-
-        t = threading.Thread(target=reader)
-        t.start()
+        woken = []
+        ch.on_change = lambda: woken.append(ch.take())
         ch.write("hello")
-        t.join(5)
-        assert got == ["hello"]
+        ch.close()
+        assert woken == [(["hello"], False), ([], True)]
 
     def test_drain(self):
         ch = InteractiveChannel()
         ch.write("a\nb")
-        assert ch.drain() == "a\nb"
-        assert ch.drain() == ""
+        assert ch.take() == (["a", "b"], False)
+        assert ch.take() == ([], False)

@@ -46,7 +46,7 @@ class TestRunExploration:
 
     def test_callable_routing_on_subprocess_backend(self, portal_app):
         """An argv-oriented distributor transparently runs callable jobs."""
-        distributor = portal_app.jobsvc.distributor
+        distributor = portal_app.proxy.distributor
         job = distributor.submit(JobRequest(name="c", callable=lambda job: 41 + 1))
         assert distributor.wait_all(10)
         assert job.result == 42
@@ -110,6 +110,5 @@ class TestPortalExplore:
 
 class TestServiceValidation:
     def test_bad_max_schedules(self, portal_app):
-        user = portal_app.users.get("admin")
         with pytest.raises(JobError):
-            portal_app.jobsvc.explore(user, "lab1", max_schedules=0)
+            portal_app.proxy.explore("admin", "lab1", max_schedules=0)

@@ -33,6 +33,7 @@ from repro.cluster import (
     RetryPolicy,
     SimulatedBackend,
 )
+from repro.cluster.backends import ExecutionBackend, ExecutionHandle, _finish
 from repro.desim import Simulator
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)
@@ -240,6 +241,28 @@ class TestReroute:
         assert faults["jobs_orphaned"] == 1
         assert faults["reroutes"] == 1
         assert faults["retries"] == 1
+
+    def test_attempt_sealed_by_its_cancel_still_reroutes(self):
+        # A SubprocessBackend run cancelled before its spawn seals at once
+        # on the I/O thread; the node loss must win over that cancel.
+        class SealOnCancel(ExecutionBackend):
+            def launch(self, job):
+                handle = ExecutionHandle(job)
+
+                def request_cancel():
+                    ExecutionHandle.request_cancel(handle)
+                    _finish(job, handle, -1)
+
+                handle.request_cancel = request_cancel
+                return handle
+
+        grid = Grid(ClusterSpec.small(segments=1, slaves=3, cores=2))
+        dist = JobDistributor(grid, SealOnCancel(), retry=FAST_RETRY)
+        job = dist.submit(JobRequest(name="victim", argv=["true"]))
+        dead = next(iter(job.placement))
+        assert dist.fail_node(dead) == [job]
+        assert job.state is not JobState.CANCELLED
+        assert [a.outcome for a in job.attempts] == ["node_lost"]
 
     def test_node_loss_without_policy_seals_failed(self):
         sim, grid, dist = des_distributor()
@@ -572,7 +595,7 @@ class TestPortalAcceptance:
         student_client.write_file("survivor.c", program)
         job_id = student_client.submit_job("survivor.c", max_retries=2)["job"]["id"]
 
-        dist = portal_app.jobsvc.distributor
+        dist = portal_app.proxy.distributor
         deadline = time.time() + 10.0
         while time.time() < deadline:
             desc = student_client.job(job_id)

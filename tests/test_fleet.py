@@ -646,7 +646,7 @@ class TestFleetSurfaces:
         assert student_client.fleet() == {"enabled": False}
         pools = [NodePool("web", NodeSpec(cores=2), segment="seg-0", max_nodes=2)]
         ScalingManager(
-            portal_app.jobsvc.distributor, pools, TargetQueueDepthPolicy()
+            portal_app.proxy.distributor, pools, TargetQueueDepthPolicy()
         )
         snap = student_client.fleet()
         assert snap["enabled"] and snap["pools"][0]["name"] == "web"
@@ -658,7 +658,7 @@ class TestFleetSurfaces:
         pools = [NodePool("web", NodeSpec(cores=2), segment="seg-0",
                           min_nodes=1, max_nodes=2)]
         mgr = ScalingManager(
-            portal_app.jobsvc.distributor, pools, TargetQueueDepthPolicy()
+            portal_app.proxy.distributor, pools, TargetQueueDepthPolicy()
         )
         mgr.tick()
         body = admin_client.fleet_decisions()

@@ -3,8 +3,9 @@
 Every test here runs against a monolith (``local``: ``make_default_app``,
 whose port is an in-process ``LocalCluster``) and a scale-out worker
 (``bus``: a ``FrontendFleet`` worker, whose port is a ``ClusterProxy``).
-Jobs are seeded straight into each deployment's distributor, so the
-seeding itself crosses neither transport.
+Jobs, explorations and files are seeded straight into each deployment's
+distributor, cluster-side port and home directories, so the seeding
+itself crosses neither transport.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -26,16 +28,24 @@ from repro.portal import PortalApp, PortalClient, make_default_app
 from repro.portal.frontend import FrontendFleet
 
 #: fields that differ between any two runs: wall-clock times, fresh tokens
-_VOLATILE = {"runtime_s", "wait_s", "started_at", "finished_at", "token"}
+_VOLATILE = {
+    "runtime_s", "wait_s", "started_at", "finished_at", "token", "mtime", "t",
+    "start", "end", "duration_s", "mean_wait_s", "p95_wait_s", "mean_runtime_s",
+    "core_seconds", "elapsed_s",
+}
+
+#: a C program both deployments can compile (gcc, else the simulated toolchain)
+_HELLO_C = b'#include <stdio.h>\nint main(void) { puts("hi"); return 0; }\n'
 
 
 class Deployment:
-    """One portal app, its distributor and its account store."""
+    """One portal app, its distributor, cluster-side port and account store."""
 
-    def __init__(self, kind: str, app: PortalApp, dist: JobDistributor, users) -> None:
+    def __init__(self, kind: str, app: PortalApp, dist: JobDistributor, port, users) -> None:
         self.kind = kind
         self.app = app
         self.dist = dist
+        self.port = port
         users.add_user("alice", "alice-pass")
         users.add_user("bob", "bob-pass")
         self.transport = PortalClient(app=app)._transport
@@ -48,6 +58,13 @@ class Deployment:
         assert self.dist.wait_all(timeout=10.0)
         self.jobs[name] = job.id
         return job.id
+
+    def seed_explore(self, name: str, owner: str) -> str:
+        """Run a small exploration on the cluster side of the port."""
+        job_id = self.port.explore(owner, "lab1", "fixed", max_schedules=50)["id"]
+        assert self.dist.wait_all(timeout=30.0)
+        self.jobs[name] = job_id
+        return job_id
 
     def login(self, username: str, password: str) -> str:
         return self.call("POST", "/api/login", {"username": username, "password": password})[2][
@@ -69,14 +86,19 @@ class Deployment:
         try:
             parsed = json.loads(payload) if payload else None
         except ValueError:
-            parsed = payload
+            parsed = payload.decode(errors="replace")
         return status, out_headers, parsed
 
     def normalised(self, body):
-        """``body`` with job ids, times, tokens and the worker id masked."""
+        """``body`` with job ids, times, tokens, the home directory and the
+        worker id masked."""
         text = json.dumps(body, sort_keys=True)
         for name, job_id in self.jobs.items():
             text = text.replace(job_id, f"<{name}>")
+        text = text.replace(str(self.app.files.root), "<homes>")
+        text = re.sub(r"job-\d{6}", "<job>", text)
+        if isinstance(body, str):  # an HTML page: mask rendered times
+            text = re.sub(r"\d+(\.\d+)?(e[-+]?\d+)? ?m?s\b", "<t>", text)
         return _mask(json.loads(text))
 
 
@@ -95,11 +117,12 @@ def _mask(value):
 def _deploy(kind: str, tmp_path: Path):
     if kind == "local":
         app = make_default_app(str(tmp_path / "homes"), cluster_spec=ClusterSpec.small())
-        return Deployment(kind, app, app.proxy.distributor, app.users), None
+        return Deployment(kind, app, app.proxy.distributor, app.proxy, app.users), None
     dist = JobDistributor(Grid(ClusterSpec.small()), SubprocessBackend())
-    fleet = FrontendFleet(dist, n_workers=1).start()
+    fleet = FrontendFleet(dist, n_workers=1, home_root=str(tmp_path / "homes")).start()
     fleet.users.add_user("admin", "admin-pass", role="admin")
-    return Deployment(kind, fleet.workers[0], dist, fleet.users), fleet
+    dep = Deployment(kind, fleet.workers[0], dist, fleet.service.cluster, fleet.users)
+    return dep, fleet
 
 
 @pytest.fixture(params=["local", "bus"])
@@ -116,6 +139,8 @@ def both(tmp_path):
     for dep, _ in deps:
         dep.seed("a1", "alice", ["echo", "hello"])
         dep.seed("b1", "bob", ["echo", "bob's"])
+        dep.seed_explore("x1", "alice")
+        dep.app.files.write("alice", "hello.c", _HELLO_C)
     yield [dep for dep, _ in deps]
     for _, fleet in deps:
         if fleet is not None:
@@ -146,6 +171,52 @@ _SHARED = [
     ("alice", "POST", "/api/users", {"username": "eve", "password": "eve-pass"}),
     ("alice", "POST", "/api/password", {"old": "wrong", "new": "whatever1"}),
     ("alice", "GET", "/api/no/such/route", None),
+    # files and quota
+    ("alice", "GET", "/api/files", None),
+    ("alice", "GET", "/api/files/content?path=hello.c", None),
+    ("alice", "GET", "/api/files/content?path=nope.c", None),  # 404
+    ("alice", "PUT", "/api/files/content?path=notes.txt", b"some notes"),
+    ("alice", "POST", "/api/files/mkdir", {"path": "lab"}),
+    ("alice", "POST", "/api/files/copy", {"src": "hello.c", "dst": "lab/copy.c"}),
+    ("alice", "POST", "/api/files/move", {"src": "lab/copy.c", "dst": "lab/moved.c"}),
+    ("alice", "POST", "/api/files/rename", {"path": "lab/moved.c", "new_name": "r.c"}),
+    ("alice", "GET", "/api/files?path=lab", None),
+    ("alice", "DELETE", "/api/files?path=lab", None),
+    ("alice", "GET", "/api/quota", None),
+    # compile, lint, submit, explore
+    ("alice", "POST", "/api/compile", {"path": "hello.c"}),
+    ("alice", "POST", "/api/compile", {"path": "nope.c"}),  # 400
+    ("alice", "POST", "/api/lint", {"source": "x = 1\n"}),
+    ("alice", "POST", "/api/lint", {"path": "hello.c"}),  # 400: Python only
+    ("alice", "POST", "/api/jobs", {"path": "nope.c"}),  # 400
+    ("alice", "POST", "/api/explore", {"lab": "lab99"}),
+    ("alice", "POST", "/api/explore", {"lab": "lab1", "algorithm": "quantum"}),
+    ("alice", "GET", "/api/explore/{x1}", None),
+    ("alice", "GET", "/api/explore/{a1}", None),  # not an exploration
+    ("bob", "GET", "/api/explore/{x1}", None),  # 403
+    # cluster management
+    ("alice", "GET", "/api/cluster/accounting", None),  # 403
+    ("admin", "GET", "/api/cluster/accounting", None),
+    ("alice", "GET", "/api/cluster/spec", None),
+    ("alice", "POST", "/api/cluster/validate", {"spec": {"cluster": {}}}),
+    ("alice", "POST", "/api/cluster/reconfigure", {"spec": {}}),  # 403
+    ("admin", "POST", "/api/cluster/reconfigure", {"spec": {"cluster": {}}}),  # 400
+    ("admin", "POST", "/api/cluster/reconfigure", {"spec": {}, "apply": True}),  # 400
+    # observability
+    ("alice", "GET", "/debug/trace/{a1}?format=json", None),
+    ("alice", "GET", "/debug/trace/{a1}", None),
+    ("alice", "GET", "/debug/trace/{b1}?format=json", None),  # 403
+    ("admin", "GET", "/debug/trace/{b1}?format=json", None),
+    ("alice", "GET", "/debug/events", None),  # 403
+    ("admin", "GET", "/debug/events?severity=info", None),
+    # HTML pages
+    (None, "GET", "/", None),  # redirect to /login
+    (None, "GET", "/login", None),
+    ("alice", "GET", "/", None),
+    ("alice", "GET", "/jobs/{a1}", None),
+    ("alice", "GET", "/jobs/{b1}", None),  # 403
+    ("alice", "POST", "/jobs/{a1}/input", b"text="),
+    ("alice", "POST", "/login", b"username=alice&password=wrong"),
 ]
 
 
@@ -155,6 +226,7 @@ class TestSameAnswers:
         for dep in both:
             tokens = {
                 "alice": dep.login("alice", "alice-pass"),
+                "bob": dep.login("bob", "bob-pass"),
                 "admin": dep.login("admin", "admin-pass"),
                 None: None,
             }
@@ -232,18 +304,25 @@ class TestEachTransport:
         assert deployment.call("GET", "/api/whoami", token=token)[0] == 401
 
     def test_argv_or_path_submit_is_chosen_by_deployment(self, deployment):
+        """Every deployment chooses the same way, by the body: ``path``
+        compiles from the user's home, an argv spec runs as it stands."""
         token = deployment.login("alice", "alice-pass")
         spec = {"name": "argv", "argv": ["echo", "x"], "path": "missing.c"}
         status, _, body = deployment.call("POST", "/api/jobs", spec, token)
-        if deployment.kind == "bus":
-            assert status == 201 and body["job"]["owner"] == "alice"
-        else:
-            # the monolith compiles ``path`` from the user's home
-            assert status == 400 and "missing.c" in body["error"]
+        assert status == 400 and "missing.c" in body["error"]
+        del spec["path"]
+        status, _, body = deployment.call("POST", "/api/jobs", spec, token)
+        assert status == 201 and set(body) == {"job"}
+        assert (body["job"]["name"], body["job"]["owner"]) == ("argv", "alice")
+        deployment.app.files.write("alice", "hello.c", _HELLO_C)
+        status, _, body = deployment.call(
+            "POST", "/api/jobs", {"path": "hello.c", "args": ["a"], "max_retries": 1}, token
+        )
+        assert status == 201 and body["compile"]["ok"] and body["lint"] is None
+        assert (body["job"]["name"], body["job"]["owner"]) == ("hello.c", "alice")
+        assert deployment.dist.job(body["job"]["id"]).request.retry.max_attempts == 2
 
     def test_bad_argv_spec_is_400_not_500(self, deployment):
-        if deployment.kind == "local":
-            pytest.skip("the monolith's submit compiles from a path")
         token = deployment.login("alice", "alice-pass")
         for spec in ({"argv": ["true"], "n_tasks": "many"}, {"argv": ["true"], "kind": "x"}):
             status, _, body = deployment.call("POST", "/api/jobs", spec, token)
@@ -265,6 +344,30 @@ class TestEachTransport:
                 assert status != 500, (pattern, body, answer)
 
     @pytest.mark.parametrize(
+        "method,path,body",
+        [
+            ("POST", "/api/jobs", {"path": "hello.c", "n_tasks": "many"}),
+            ("POST", "/api/jobs", {"path": "hello.c", "args": 5}),
+            ("POST", "/api/jobs", {"path": "hello.c", "timeout_s": "soon"}),
+            ("POST", "/api/jobs", {"path": "hello.c", "kind": "x"}),
+            ("POST", "/api/jobs", {"path": "hello.c", "max_retries": -1}),
+            ("POST", "/api/jobs", {"path": 5}),
+            ("POST", "/api/explore", {"lab": "lab1", "max_schedules": "x"}),
+            ("POST", "/api/explore", {"lab": "lab1", "max_seconds": "x"}),
+            ("GET", "/debug/events?severity=bogus", None),
+            ("POST", "/api/lint", {"path": 5}),
+            ("POST", "/api/files/rename", {"path": "hello.c", "new_name": 5}),
+            ("POST", "/api/compile", {"path": ["hello.c"]}),
+        ],
+    )
+    def test_wrongly_typed_fields_answer_400(self, deployment, method, path, body):
+        deployment.app.files.write("admin", "hello.c", _HELLO_C)
+        token = deployment.login("admin", "admin-pass")
+        status, _, answer = deployment.call(method, path, body, token)
+        assert status == 400, answer
+        assert deployment.dist.jobs == {}, "nothing may be submitted"
+
+    @pytest.mark.parametrize(
         "path",
         [
             "/api/login", "/api/users", "/api/password", "/api/jobs",
@@ -275,15 +378,11 @@ class TestEachTransport:
     )
     def test_json_body_routes_reject_non_objects_with_400(self, deployment, path):
         deployment.seed("a1", "alice", ["echo", "hi"])
-        if path.replace("{a1}", "<job_id>") not in deployment.app.router._all:
-            pytest.skip(f"{path} needs in-process state")
         token = deployment.login("admin", "admin-pass")
         status, _, body = deployment.call("POST", path, b"[1, 2]", token)
         assert (status, body["error"]) == (400, "body must be a JSON object")
 
     def test_validate_reports_a_non_object_document(self, deployment):
-        if deployment.kind == "bus":
-            pytest.skip("spec routes stay in-process")
         token = deployment.login("admin", "admin-pass")
         status, _, report = deployment.call("POST", "/api/cluster/validate", b"[1, 2]", token)
         assert status == 200 and not report["ok"] and report["findings"]
@@ -292,25 +391,26 @@ class TestEachTransport:
 class TestClusterPort:
     @staticmethod
     def _port_calls() -> set[str]:
-        """Every ``self.proxy.<name>(...)`` call in the portal app's source."""
+        """Every ``self.proxy.<name>(...)`` call in the portal app's source,
+        and every ``self.port.<name>(...)`` call in the job service's."""
         import repro.portal.app as app_module
+        import repro.portal.jobsvc as jobsvc_module
 
-        tree = ast.parse(inspect.getsource(app_module))
         return {
             node.func.attr
-            for node in ast.walk(tree)
+            for module, port in ((app_module, "proxy"), (jobsvc_module, "port"))
+            for node in ast.walk(ast.parse(inspect.getsource(module)))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "proxy"
+            and node.func.value.attr == port
         }
 
     def test_every_port_call_has_the_same_signature_on_both_transports(self):
         calls = self._port_calls()
-        assert {"control_state", "output_fingerprint", "describe"} <= calls
-        # ``job`` returns a live Job, so only the in-process routes call it
-        assert calls - {"job"} <= set(vars(ClusterProxy))
-        for name in calls - {"job"}:
+        assert {"control_state", "output_fingerprint", "describe", "submit"} <= calls
+        assert calls <= set(vars(ClusterProxy))
+        for name in calls:
             assert inspect.signature(getattr(LocalCluster, name)) == inspect.signature(
                 getattr(ClusterProxy, name)
             ), name
@@ -324,9 +424,3 @@ class TestClusterPort:
             assert inspect.signature(getattr(LocalCluster, name)) == inspect.signature(
                 getattr(ClusterProxy, name)
             ), name
-
-    def test_in_process_routes_need_a_local_port_over_the_same_distributor(self, tmp_path):
-        app = make_default_app(str(tmp_path), cluster_spec=ClusterSpec.small())
-        other = LocalCluster(JobDistributor(Grid(ClusterSpec.small()), SubprocessBackend()))
-        with pytest.raises(ValueError, match="LocalCluster"):
-            PortalApp(app.users, app.sessions, other, app.jobsvc)

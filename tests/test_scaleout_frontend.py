@@ -18,6 +18,7 @@ from repro.portal import PortalClient
 from repro.portal.admission import AdmissionController
 from repro.portal.app import PortalApp
 from repro.portal.frontend import FrontendFleet, SessionReplicator
+from repro.portal.jobsvc import JobService
 from repro.portal.sessions import SessionStore
 
 
@@ -272,10 +273,12 @@ class TestFrontendResilience:
         fleet = FrontendFleet(_make_distributor(), n_workers=1).start()
         try:
             fleet.users.add_user("alice", "secret123")
+            proxy = ClusterProxy(fleet.bus, client_id="metrics-test")
             worker = PortalApp(
                 fleet.users,
                 SessionStore(),
-                ClusterProxy(fleet.bus, client_id="metrics-test"),
+                proxy,
+                JobService(fleet.files, proxy),
                 registry=MetricsRegistry(),
                 worker_id="fx",
             )

@@ -31,14 +31,19 @@ from repro._errors import SpecError
 from repro.bus import ClusterBackendService, ClusterProxy, MessageBus
 from repro.cluster import (
     ClusterSpec,
+    Grid,
+    JobDistributor,
     JobRequest,
     JobState,
     NodeSpec,
     SimulatedBackend,
+    SubprocessBackend,
 )
 from repro.desim import Simulator
-from repro.portal import PortalClient
+from repro.portal import PortalClient, make_default_app
+from repro.portal.admission import AdmissionController
 from repro.portal.client import PortalError
+from repro.portal.frontend import FrontendFleet
 from repro.spec import (
     SPEC_CORPUS,
     SPEC_RULES,
@@ -372,13 +377,60 @@ class TestPortalSurface:
         assert [a["op"] for a in planned["plan"]["actions"]] == ["set_scheduler"]
         applied = admin_client.reconfigure(desired, apply=True)
         assert applied["applied"] and applied["complete"]
-        assert portal_app.jobsvc.distributor.scheduler.name == "priority"
+        assert portal_app.proxy.distributor.scheduler.name == "priority"
 
     def test_invalid_spec_is_400_with_findings(self, admin_client):
         bad = valid_spec()
         bad["cluster"]["segments"][0]["slave_type"] = "ghost"
         with pytest.raises(PortalError, match="400"):
             admin_client.reconfigure(bad)
+
+
+class TestPortalStanzas:
+    """An applied admission or toolchains stanza retunes every portal app."""
+
+    @staticmethod
+    def _apply_and_check(apps):
+        clients = [PortalClient(app=app) for app in apps]
+        for client in clients:
+            client.login("admin", "admin-pass")
+        apps[0].files.write("admin", "hello.py", b"print('hi')\n")
+        for client in clients:
+            with pytest.raises(PortalError):
+                client.compile("hello.py")  # no Python toolchain yet
+        desired = clients[0].cluster_spec()
+        desired["admission"] = {"rate_per_s": 7.0}
+        desired["toolchains"] = {"languages": ["python"]}
+        applied = clients[0].reconfigure(desired, apply=True)
+        assert {a["op"] for a in applied["plan"]["actions"]} == {
+            "set_admission", "set_toolchains"
+        }
+        for app, client in zip(apps, clients):
+            assert app.admission.rate_per_s == 7.0
+            assert client.compile("hello.py")["ok"]
+            # the live document now carries the applied stanzas: replanning
+            # it is a no-op on every app
+            assert client.reconfigure(client.cluster_spec())["plan"]["actions"] == []
+
+    def test_reaches_every_worker_of_a_fleet(self, tmp_path):
+        fleet = FrontendFleet(
+            JobDistributor(Grid(ClusterSpec.small()), SubprocessBackend()),
+            n_workers=2,
+            admission_factory=lambda _i: AdmissionController(),
+            home_root=str(tmp_path / "homes"),
+        ).start()
+        try:
+            fleet.users.add_user("admin", "admin-pass", role="admin")
+            self._apply_and_check(fleet.workers)
+        finally:
+            fleet.stop()
+
+    def test_reaches_the_monolith(self, tmp_path):
+        app = make_default_app(
+            str(tmp_path / "homes"), cluster_spec=ClusterSpec.small(),
+            admission=AdmissionController(),
+        )
+        self._apply_and_check([app])
 
 
 class TestBusSurface:
@@ -391,8 +443,6 @@ class TestBusSurface:
             proxy = ClusterProxy(bus)
             live = proxy.spec_describe()
             assert validate(live).findings == []
-            report = proxy.spec_validate(_kitchen_sink())
-            assert not report["ok"]
             planned = proxy.spec_reconfigure(live, manage=True)
             assert planned == {"applied": False,
                                "plan": {"actions": [],

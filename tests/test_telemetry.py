@@ -442,7 +442,7 @@ class TestMetricsEndpoint:
 class TestTraceEndpoint:
     def test_trace_page_shows_span_tree(self, portal):
         app, client = portal
-        dist = app.jobsvc.distributor
+        dist = app.proxy.distributor
         job = dist.submit(
             JobRequest(name="traced", owner="admin", argv=["python3", "-c", "pass"])
         )
@@ -470,7 +470,7 @@ class TestTraceEndpoint:
 
     def test_job_page_links_to_trace(self, portal):
         app, client = portal
-        dist = app.jobsvc.distributor
+        dist = app.proxy.distributor
         job = dist.submit(
             JobRequest(name="linked", owner="admin", argv=["python3", "-c", "pass"])
         )
