@@ -36,7 +36,7 @@ from repro.cluster.distributor import JobDistributor
 from repro.cluster.grid import Grid
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.workloads import ExploreJobSpec, run_exploration
-from repro.interleave.explorer import explore
+from repro.interleave.explorer import STOP_EXHAUSTED, explore
 from repro.labs.explore import program, program_ids
 
 pytestmark = pytest.mark.perf
@@ -65,7 +65,7 @@ def test_dpor_reduction_on_lab6_and_lab7(report):
     rows = []
     for lab_id, variant in REDUCTION_CASES:
         naive, dpor = _pair(lab_id, variant)
-        assert naive.exhausted and dpor.exhausted
+        assert naive.stop_reason == dpor.stop_reason == STOP_EXHAUSTED
         assert dpor.finding_set() == naive.finding_set(), (
             f"{lab_id}/{variant}: DPOR must find exactly what naive finds"
         )
@@ -89,11 +89,11 @@ def test_naive_infeasible_lab7_completes_under_dpor(report):
     """The headline: exhaustive proof where enumeration cannot finish."""
     naive = explore(program("lab7", "broken"),
                     max_schedules=NAIVE_INFEASIBLE_BUDGET)
-    assert not naive.exhausted, (
+    assert naive.stop_reason != STOP_EXHAUSTED, (
         "lab7/broken should exceed the naive budget (it needs >1e6 schedules)"
     )
     dpor = explore(program("lab7", "broken"), max_schedules=BOUND, strategy="dpor")
-    assert dpor.exhausted, "DPOR must exhaust the same instance outright"
+    assert dpor.stop_reason == STOP_EXHAUSTED, "DPOR must exhaust the same instance outright"
     assert dpor.schedules_run < 100
     report(
         "explorer_feasibility",
@@ -107,7 +107,7 @@ def test_naive_infeasible_lab7_completes_under_dpor(report):
 
 def test_dpor_states_per_second(report):
     dpor = explore(program("lab7", "fixed"), max_schedules=BOUND, strategy="dpor")
-    assert dpor.exhausted
+    assert dpor.stop_reason == STOP_EXHAUSTED
     rate = dpor.states_explored / max(dpor.elapsed_s, 1e-9)
     assert rate >= STATES_PER_S_FLOOR, (
         f"{rate:.0f} states/s < {STATES_PER_S_FLOOR:.0f} floor"
@@ -133,7 +133,7 @@ def test_parallel_driver_scaling(report):
         t0 = time.perf_counter()
         result = run_exploration(distributor, factory, spec)
         wall = time.perf_counter() - t0
-        assert result.exhausted
+        assert result.stop_reason == STOP_EXHAUSTED
         assert result.finding_set() == solo.finding_set()
         rows.append((partitions, result.schedules_run, wall))
     lines = [

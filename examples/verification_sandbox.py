@@ -14,6 +14,7 @@ Run:  python examples/verification_sandbox.py
 """
 
 from repro.interleave import (
+    STOP_EXHAUSTED,
     FixedPolicy,
     Nop,
     Scheduler,
@@ -117,7 +118,8 @@ def rwlock_proof() -> None:
 
     result = explore(factory, max_schedules=2000)
     print(f"   {result.summary()}")
-    verdict = "HOLDS (within the bound)" if result.clean and result.exhausted else (
+    exhausted = result.stop_reason == STOP_EXHAUSTED
+    verdict = "HOLDS (within the bound)" if result.clean and exhausted else (
         "holds for every explored schedule" if result.clean else "VIOLATED"
     )
     print(f"   mutual exclusion of writers: {verdict}")

@@ -166,7 +166,7 @@ def check_dynamic_corpus(algorithm: str = "dpor", max_schedules: int = 100_000) 
     ``problems`` is empty when exploration exhausted the schedule space
     and witnessed exactly the expected finding kinds.
     """
-    from repro.interleave.explorer import explore
+    from repro.interleave.explorer import STOP_EXHAUSTED, explore
     from repro.labs.explore import program
 
     strategy = "dpor" if algorithm == "dpor" else "dfs"
@@ -175,7 +175,7 @@ def check_dynamic_corpus(algorithm: str = "dpor", max_schedules: int = 100_000) 
         factory = program(case.lab_id, case.variant, **dict(case.sizes))
         result = explore(factory, max_schedules=max_schedules, strategy=strategy)
         problems: list = []
-        if not result.exhausted:
+        if result.stop_reason != STOP_EXHAUSTED:
             problems.append(
                 f"exploration stopped early ({result.stop_reason}) after "
                 f"{result.schedules_run} schedule(s)"

@@ -11,9 +11,13 @@ messaging boundary:
   timeouts, remote-error propagation;
 * :mod:`repro.bus.service` — :class:`LocalCluster`, the cluster port
   over one in-process :class:`JobDistributor` (and the single ownership
-  check), and :class:`ClusterBackendService`, which serves it over RPC;
+  check), whose typed signatures are the port's one declaration; the
+  ``CLUSTER_PORT`` table of RPC names; and :class:`ClusterBackendService`,
+  which serves every table entry through one generic handler that checks
+  the wire parameters against those types;
 * :mod:`repro.bus.proxy` — :class:`ClusterProxy`, the same port as
-  RPCs: what each front-end worker holds instead of the distributor.
+  RPCs, its stubs generated from the same table: what each front-end
+  worker holds instead of the distributor.
 """
 
 from repro._errors import BusError, RpcRemoteError, RpcTimeout

@@ -1,31 +1,31 @@
-"""The cluster port, and the back-end service that serves it over the bus.
+"""The cluster port, declared once, and the back-end service that serves it.
 
 :class:`LocalCluster` is the *cluster port* over an in-process
 :class:`JobDistributor`: the method set the portal reaches the cluster
-through — freshness probe, status, submit, describe, output polling,
-input, cancel, exploration, traces, events, accounting, fleet and spec.
-:class:`~repro.bus.proxy.ClusterProxy` implements the same methods, with the same signatures, as RPCs, so one
-:class:`~repro.portal.app.PortalApp` runs over either transport: the
-monolith holds a ``LocalCluster`` (zero hops), a scale-out worker holds a
-``ClusterProxy``.
+through — freshness probe, status, checkpoint, durability, submit,
+describe, output polling, input, cancel, exploration, traces, events,
+accounting, fleet and spec.  Its typed signatures are the port's only
+declaration: :data:`CLUSTER_PORT` names the RPC that carries each method,
+and both transports are built from that table, so one
+:class:`~repro.portal.app.PortalApp` runs over either.  The monolith holds
+a ``LocalCluster`` (zero hops); a scale-out worker holds a
+:class:`~repro.bus.proxy.ClusterProxy`, whose stubs are generated from it.
 
-Ownership is enforced in :meth:`LocalCluster.job`, once, for both
-transports: every job method takes the calling user and a ``view_all``
-capability flag, so a buggy front-end cannot leak another student's job
-across the bus.  The event log and accounting span every owner and need
-``view_all`` themselves.
-
-A spec apply that changes a portal stanza (admission, toolchains) reaches
-each app through :meth:`LocalCluster.on_spec_applied`; the back-end
-service republishes it on :data:`SPEC_TOPIC` for the workers.
+Every check on a call's values lives in ``LocalCluster``, so both
+transports run it: the one ownership check (:meth:`LocalCluster.job`:
+every job method takes the calling user and a ``view_all`` capability
+flag; the event log and accounting need ``view_all``), an owner on every
+submission, a known ``min_severity``, and the ``manage_cluster``
+capability a reconfigure asserts.  A spec apply that changes a portal
+stanza (admission, toolchains) reaches each app through
+:meth:`LocalCluster.on_spec_applied`; the back-end service republishes
+it on :data:`SPEC_TOPIC` for the workers.
 
 :class:`ClusterBackendService` is the only thing on the cluster side of
-the bus.  It checks what arrives off the wire (a submitted ``request``
-must be an object with an owner, a reconfigure's ``spec`` an object,
-``since`` and ``max_schedules`` integers, a ``min_severity`` a known
-severity) and hands each RPC to the matching
-``LocalCluster`` method, which also enforces the ``manage_cluster``
-capability a reconfigure asserts.
+the bus.  It registers one generic handler per :data:`CLUSTER_PORT`
+entry, which checks the wire against the method's type hints, resolved
+once at import (:class:`PortCall`), and refuses a missing, unknown or
+wrongly typed parameter with :class:`BusError` before the method runs.
 
 ``reply_latency_s`` models the control-plane round trip a real cluster
 imposes (the paper's portal talks to its cluster over a network; our
@@ -40,8 +40,10 @@ measures.
 
 from __future__ import annotations
 
+import inspect
 from json import dumps
-from typing import Callable
+from types import NoneType, UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from repro._errors import AuthorizationError, BusError, JobError, SpecError
 from repro.bus.core import MessageBus
@@ -51,7 +53,8 @@ from repro.cluster.job import Job, JobKind, JobRequest
 from repro.spec import Reconfigurer
 from repro.telemetry.events import SEVERITIES
 
-__all__ = ["ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster", "SPEC_TOPIC"]
+__all__ = ["CLUSTER_PORT", "ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster",
+           "PORT_CALLS", "PortCall", "SPEC_TOPIC"]
 
 DEFAULT_SERVICE_QUEUE = "cluster.backend"
 
@@ -93,6 +96,14 @@ class LocalCluster:
 
     def status(self) -> dict:
         return self.distributor.stats()
+
+    def checkpoint(self) -> dict:
+        """Force a journal snapshot + compaction now (e.g. pre-upgrade)."""
+        return self.distributor.checkpoint()
+
+    def durability(self) -> dict:
+        """Journal/recovery counters (``{"enabled": False}`` when off)."""
+        return self.distributor.durability_stats()
 
     def fleet_status(self) -> dict:
         """Elastic-fleet snapshot (``{"enabled": False}`` when unmanaged)."""
@@ -141,6 +152,8 @@ class LocalCluster:
         """The newest 200 records of the distributor's event log."""
         if not view_all:
             raise AuthorizationError("the event log needs view_all_jobs")
+        if min_severity is not None and min_severity not in SEVERITIES:
+            raise BusError(f"min_severity must be one of {', '.join(SEVERITIES)}")
         events = self.distributor.telemetry.events.snapshot(min_severity=min_severity, limit=200)
         return [e.as_dict() for e in events]
 
@@ -163,6 +176,8 @@ class LocalCluster:
     # -- jobs -----------------------------------------------------------------
     def submit(self, request: JobRequest) -> dict:
         """Submit; returns the new job's ``describe()``."""
+        if not request.owner:
+            raise JobError("a submission must carry an owner")
         return self.distributor.submit(request).describe()
 
     def describe(self, owner: str, job_id: str, view_all: bool = False) -> dict:
@@ -303,13 +318,99 @@ class LocalCluster:
         return {"state": job.state.value, "ready": True, "report": report}
 
 
-def _job_args(params: dict) -> tuple[str, str, bool]:
-    """``(owner, job_id, view_all)`` off the wire."""
-    return (
-        str(params.get("owner", "")),
-        str(params.get("job_id", "")),
-        bool(params.get("view_all")),
-    )
+#: The cluster port: each RPC name and the :class:`LocalCluster` method it
+#: runs.  The one list of port methods both transports are built from.
+CLUSTER_PORT: dict[str, str] = {
+    "cluster.version": "control_state",
+    "cluster.status": "status",
+    "cluster.checkpoint": "checkpoint",
+    "cluster.durability": "durability",
+    "cluster.fleet": "fleet_status",
+    "cluster.fleet.log": "fleet_log",
+    "cluster.spec.describe": "spec_describe",
+    "cluster.spec.reconfigure": "spec_reconfigure",
+    "cluster.events": "events",
+    "cluster.accounting": "accounting",
+    "cluster.explore": "explore",
+    "jobs.submit": "submit",
+    "jobs.describe": "describe",
+    "jobs.list": "list_jobs",
+    "jobs.output": "output_since",
+    "jobs.fingerprint": "output_fingerprint",
+    "jobs.input": "send_input",
+    "jobs.cancel": "cancel",
+    "jobs.trace": "job_trace",
+    "jobs.explore_report": "explore_report",
+}
+
+#: wire types each parameter hint accepts (JSON decodes to exactly these)
+_WIRE_TYPES: dict[type, tuple[type, ...]] = {
+    str: (str,), int: (int,), bool: (bool,), float: (int, float), dict: (dict,),
+    JobRequest: (dict,), NoneType: (NoneType,),
+}
+
+
+def _wire_types(hint: Any) -> tuple[type, ...]:
+    """The wire types a parameter hint accepts; ``X | None`` adds null."""
+    if get_origin(hint) in (Union, UnionType):
+        return tuple(t for arg in get_args(hint) for t in _wire_types(arg))
+    return _WIRE_TYPES[hint]
+
+
+class PortCall:
+    """One port method's wire form, resolved once from its signature."""
+
+    def __init__(self, rpc: str, method: str) -> None:
+        self.rpc = rpc
+        self.method = method
+        self.function = fn = getattr(LocalCluster, method)
+        hints = get_type_hints(fn)
+        params = list(inspect.signature(fn).parameters.values())[1:]  # drop self
+        #: parameter names in declaration order (the stubs' positional order)
+        self.names = tuple(p.name for p in params)
+        #: parameters that cross as :meth:`JobRequest.to_wire` dicts
+        self.requests = tuple(p.name for p in params if hints[p.name] is JobRequest)
+        #: ``(name, accepted wire types, required)`` per parameter
+        self.params = tuple(
+            (p.name, _wire_types(hints[p.name]), p.default is p.empty) for p in params
+        )
+        self._accepted = frozenset(self.names)
+        returns = hints.get("return")
+        #: JSON turns a tuple into a list; the stub turns it back
+        self.tuple_reply = returns is tuple or get_origin(returns) is tuple
+
+    def arguments(self, params: dict) -> dict:
+        """Checked keyword arguments from wire ``params``; :class:`BusError`
+        for a missing required parameter, an unknown one or a wrong type."""
+        if not self._accepted.issuperset(params):
+            unknown = sorted(set(params) - self._accepted)
+            raise BusError(f"{self.rpc}: unknown parameter(s) {', '.join(unknown)}")
+        kwargs = {}
+        for name, types, required in self.params:
+            if name in params:
+                value = kwargs[name] = params[name]
+                if type(value) not in types:
+                    expected = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+                    raise BusError(f"{self.rpc}: {name!r} must be {expected}, "
+                                   f"got {type(value).__name__}")
+            elif required:
+                raise BusError(f"{self.rpc} needs {name!r}")
+        for name in self.requests:
+            try:
+                kwargs[name] = JobRequest.from_wire(kwargs[name])
+            except (TypeError, ValueError) as exc:
+                raise BusError(f"{self.rpc}: {name!r} {exc}") from None
+        return kwargs
+
+    def handler(self, cluster: LocalCluster) -> Callable[[dict], Any]:
+        """The RPC handler: check the wire, then run the method on ``cluster``."""
+        method = getattr(cluster, self.method)
+        arguments = self.arguments
+        return lambda params: method(**arguments(params))
+
+
+#: RPC name → its resolved :class:`PortCall`
+PORT_CALLS: dict[str, PortCall] = {rpc: PortCall(rpc, m) for rpc, m in CLUSTER_PORT.items()}
 
 
 class ClusterBackendService:
@@ -330,31 +431,9 @@ class ClusterBackendService:
         )
         self.reply_latency_s = reply_latency_s
         self.server = RpcServer(bus, service_queue, reply_latency_s)
-        for method, handler in (
-            ("cluster.version", self._h_version),
-            ("cluster.status", lambda p: cluster.status()),
-            ("cluster.checkpoint", self._h_checkpoint),
-            ("cluster.durability", lambda p: distributor.durability_stats()),
-            ("cluster.fleet", lambda p: cluster.fleet_status()),
-            ("cluster.fleet.log", lambda p: cluster.fleet_log()),
-            ("cluster.spec.describe", lambda p: cluster.spec_describe()),
-            ("cluster.spec.reconfigure", self._h_spec_reconfigure),
-            ("cluster.events", self._h_events),
-            ("cluster.accounting", lambda p: cluster.accounting(bool(p.get("view_all")))),
-            ("cluster.explore", self._h_explore),
-            ("jobs.submit", self._h_submit),
-            ("jobs.describe", lambda p: cluster.describe(*_job_args(p))),
-            ("jobs.list", lambda p: cluster.list_jobs(
-                str(p.get("owner", "")), bool(p.get("view_all")))),
-            ("jobs.output", self._h_output),
-            ("jobs.fingerprint", lambda p: cluster.output_fingerprint(*_job_args(p))),
-            ("jobs.input", self._h_input),
-            ("jobs.cancel", lambda p: {"ok": cluster.cancel(*_job_args(p))}),
-            ("jobs.trace", lambda p: cluster.job_trace(*_job_args(p))),
-            ("jobs.explore_report", lambda p: cluster.explore_report(*_job_args(p))),
-            ("service.stats", self._h_stats),
-        ):
-            self.server.register(method, handler)
+        for rpc, call in PORT_CALLS.items():
+            self.server.register(rpc, call.handler(cluster))
+        self.server.register("service.stats", self._h_stats)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ClusterBackendService":
@@ -364,63 +443,8 @@ class ClusterBackendService:
     def stop(self) -> None:
         self.server.stop()
 
-    # -- handlers that check the wire or are back-end only ---------------------
-    def _h_version(self, params: dict) -> dict:
-        version, cores_free = self.cluster.control_state()
-        return {"version": version, "cores_free": cores_free}
-
-    def _h_checkpoint(self, params: dict) -> dict:
-        """Force a snapshot + compaction now (admin surface, e.g. pre-upgrade)."""
-        if self.distributor.journal is None:
-            raise JobError("cluster runs without a journal; nothing to checkpoint")
-        return self.distributor.checkpoint()
-
-    def _h_spec_reconfigure(self, params: dict) -> dict:
-        doc = params.get("spec")
-        if not isinstance(doc, dict):
-            raise BusError("cluster.spec.reconfigure needs a 'spec' object")
-        return self.cluster.spec_reconfigure(
-            doc, bool(params.get("apply")), bool(params.get("manage"))
-        )
-
-    def _h_events(self, params: dict) -> list[dict]:
-        severity = params.get("min_severity")
-        if severity is not None and severity not in SEVERITIES:
-            raise BusError(f"cluster.events needs a 'min_severity' in {SEVERITIES}")
-        return self.cluster.events(severity, bool(params.get("view_all")))
-
-    def _h_explore(self, params: dict) -> dict:
-        *names, schedules, seconds = (params.get(k) for k in (
-            "owner", "lab", "variant", "algorithm", "max_schedules", "max_seconds"))
-        if not (all(isinstance(v, str) for v in names) and type(schedules) is int
-                and (seconds is None or type(seconds) in (int, float))):
-            raise BusError("cluster.explore needs string owner/lab/variant/algorithm, "
-                           "an integer max_schedules and a numeric or null max_seconds")
-        return self.cluster.explore(*names, schedules, seconds)
-
-    def _h_submit(self, params: dict) -> dict:
-        wire = params.get("request")
-        if not isinstance(wire, dict):
-            raise BusError("jobs.submit needs a 'request' object")
-        request = JobRequest.from_wire(wire)
-        if not request.owner:
-            raise JobError("submissions over the bus must carry an owner")
-        return self.cluster.submit(request)
-
-    def _h_output(self, params: dict) -> dict:
-        owner, job_id, view_all = _job_args(params)
-        try:
-            since = int(params.get("since", 0))
-        except (TypeError, ValueError):
-            raise BusError("jobs.output needs an integer 'since'") from None
-        return self.cluster.output_since(owner, job_id, since, view_all)
-
-    def _h_input(self, params: dict) -> dict:
-        owner, job_id, view_all = _job_args(params)
-        self.cluster.send_input(owner, job_id, str(params.get("text", "")), view_all)
-        return {"ok": True}
-
     def _h_stats(self, params: dict) -> dict:
+        """The back-end service's own counters (not part of the port)."""
         return {
             "bus": self.bus.stats(),
             "requests_served": self.server.requests_served,

@@ -305,9 +305,10 @@ class JobRequest:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "JobRequest":
-        """Rebuild a request from :meth:`to_wire` output (validates anew)."""
+        """Rebuild a request from :meth:`to_wire` output (validates anew);
+        a wrongly typed field is a :class:`ValueError`, never coerced."""
         data = dict(wire)
-        retry = data.pop("retry", None)
+        retry = _wire_typed(data, "retry", dict)
         if retry is not None:
             retry = RetryPolicy(
                 max_attempts=int(retry.get("max_attempts", 3)),
@@ -317,29 +318,48 @@ class JobRequest:
                 jitter=float(retry.get("jitter", 0.1)),
                 retry_on=frozenset(retry.get("retry_on", _RETRY_CLASSES)),
             )
-        argv = data.pop("argv", None)
+        env = _wire_typed(data, "env", dict, {})
+        if not all(type(k) is str and type(v) is str for k, v in env.items()):
+            raise ValueError("env must map strings to strings")
         return cls(
             name=str(data.get("name", "job")),
             owner=str(data.get("owner", "")),
             kind=JobKind(data.get("kind", "sequential")),
-            argv=list(argv) if argv is not None else None,
+            argv=_wire_strings(data, "argv"),
             sim_duration=data.get("sim_duration"),
             n_tasks=int(data.get("n_tasks", 1)),
             cores_per_task=int(data.get("cores_per_task", 1)),
             memory_mb_per_task=int(data.get("memory_mb_per_task", 0)),
-            need_gpu=bool(data.get("need_gpu", False)),
-            node_type=data.get("node_type"),
+            need_gpu=_wire_typed(data, "need_gpu", bool, False),
+            node_type=_wire_typed(data, "node_type", str),
             priority=int(data.get("priority", 0)),
             timeout_s=data.get("timeout_s"),
             wallclock_timeout_s=data.get("wallclock_timeout_s"),
             retry=retry,
             est_runtime_s=data.get("est_runtime_s"),
-            after=tuple(data.get("after", ())),
-            after_ok=bool(data.get("after_ok", False)),
+            after=tuple(_wire_strings(data, "after") or ()),
+            after_ok=_wire_typed(data, "after_ok", bool, False),
             stdin_data=str(data.get("stdin_data", "")),
-            env=dict(data.get("env", {})),
-            workdir=data.get("workdir"),
+            env=dict(env),
+            workdir=_wire_typed(data, "workdir", str),
         )
+
+
+def _wire_typed(data: dict, key: str, kind: type, default: Any = None) -> Any:
+    """``data[key]`` if it is a ``kind`` (``default`` when absent or null);
+    :class:`ValueError` for any other type."""
+    value = data.get(key)
+    if value is not None and type(value) is not kind:
+        raise ValueError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return default if value is None else value
+
+
+def _wire_strings(data: dict, key: str) -> Optional[list[str]]:
+    """``data[key]`` as a new list of strings (``None`` when absent or null)."""
+    value = _wire_typed(data, key, list)
+    if value is not None and not all(type(v) is str for v in value):
+        raise ValueError(f"{key} must be a list of strings")
+    return None if value is None else list(value)
 
 
 class Job:

@@ -75,8 +75,8 @@ class ExplorationResult:
     """Aggregate outcome of a bounded exploration.
 
     ``stop_reason`` says *why* the exploration loop ended (one of the
-    ``STOP_*`` constants); the historical ``exhausted`` flag survives as
-    a derived property.  Findings carry a replayable witness: feed the
+    ``STOP_*`` constants); :data:`STOP_EXHAUSTED` means every schedule
+    within the step bound was covered.  Findings carry a replayable witness: feed the
     choice tuple to :class:`~repro.interleave.scheduler.FixedPolicy` and
     the program's factory to reproduce the schedule.
     """
@@ -104,11 +104,6 @@ class ExplorationResult:
     """Thread exceptions (uncaught) per schedule."""
     races: list[str] = field(default_factory=list)
     """Unique race descriptions, kept sorted (stable across run order)."""
-
-    @property
-    def exhausted(self) -> bool:
-        """``True`` when every schedule within the step bound was covered."""
-        return self.stop_reason == STOP_EXHAUSTED
 
     @property
     def clean(self) -> bool:
@@ -168,7 +163,6 @@ class ExplorationResult:
             "algorithm": self.algorithm,
             "schedules_run": self.schedules_run,
             "stop_reason": self.stop_reason,
-            "exhausted": self.exhausted,
             "clean": self.clean,
             "states_explored": self.states_explored,
             "pruned": self.pruned,
@@ -184,7 +178,7 @@ class ExplorationResult:
 
     def summary(self) -> str:
         """One-line human summary."""
-        if self.exhausted:
+        if self.stop_reason == STOP_EXHAUSTED:
             how = " (exhaustive within bound)"
         else:
             how = f" (stopped: {self.stop_reason})"
@@ -291,8 +285,7 @@ def explore(
     Returns
     -------
     ExplorationResult
-        ``stop_reason`` says why the loop ended; the legacy
-        ``exhausted`` property derives from it.
+        ``stop_reason`` says why the loop ended.
 
     Notes
     -----

@@ -397,7 +397,7 @@ class PortalApp:
 
     def _api_login(self, req: Request) -> Response:
         body = req.json_object()
-        user = self.users.authenticate(body.get("username", ""), body.get("password", ""))
+        user = self.users.authenticate(_text(body, "username"), _text(body, "password"))
         token = self.sessions.create({"username": user.username})
         resp = Response.json(self._with_worker(
             {"ok": True, "username": user.username, "role": user.role, "token": token}
@@ -419,17 +419,17 @@ class PortalApp:
         admin.require("manage_users")
         body = req.json_object()
         user = self.users.add_user(
-            body.get("username", ""),
-            body.get("password", ""),
-            role=body.get("role", "student"),
-            full_name=body.get("full_name", ""),
+            _text(body, "username"),
+            _text(body, "password"),
+            role=_text(body, "role", "student"),
+            full_name=_text(body, "full_name"),
         )
         return Response.json({"ok": True, "username": user.username, "role": user.role}, status=201)
 
     def _api_change_password(self, req: Request) -> Response:
         user = self._require_user(req)
         body = req.json_object()
-        self.users.change_password(user.username, body.get("old", ""), body.get("new", ""))
+        self.users.change_password(user.username, _text(body, "old"), _text(body, "new"))
         return Response.json({"ok": True})
 
     # -- job handlers (through the port) ------------------------------------------------
@@ -524,7 +524,7 @@ class PortalApp:
         self.proxy.send_input(
             user.username,
             req.params["job_id"],
-            req.json_object().get("text", ""),
+            _text(req.json_object(), "text"),
             user.can("view_all_jobs"),
         )
         return Response.json({"ok": True})
@@ -699,9 +699,9 @@ class PortalApp:
             raise HttpError(400, "max_seconds must be a number or null")
         job = self.proxy.explore(
             user.username,
-            str(body.get("lab", "")),
-            variant=str(body.get("variant", "broken")),
-            algorithm=str(body.get("algorithm", "dpor")),
+            _text(body, "lab"),
+            variant=_text(body, "variant", "broken"),
+            algorithm=_text(body, "algorithm", "dpor"),
             max_schedules=max_schedules,
             max_seconds=max_seconds,
         )
@@ -847,7 +847,7 @@ class PortalApp:
         if req.user is None:
             return Response.redirect("/login")
         job_id = req.params["job_id"]
-        text = req.form().get("text", "")
+        text = _text(req.form(), "text")
         if text:
             self.proxy.send_input(
                 req.user.username, job_id, text + "\n", req.user.can("view_all_jobs")

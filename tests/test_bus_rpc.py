@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import typing
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.bus import (
     decode_wire,
     encode_wire,
 )
+from repro.bus.service import PORT_CALLS, LocalCluster
 from repro.cluster.backends import SubprocessBackend
 from repro.cluster.distributor import JobDistributor
 from repro.cluster.grid import Grid
@@ -316,6 +318,26 @@ class TestJobRequestWire:
         with pytest.raises(JobError, match="cannot cross the bus"):
             req.to_wire()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"need_gpu": "false"},
+            {"after_ok": "no"},
+            {"argv": "echo hi"},
+            {"argv": ["echo", 5]},
+            {"after": "job-1"},
+            {"env": {"A": 1}},
+            {"env": ["A"]},
+            {"node_type": 5},
+            {"workdir": 5},
+            {"retry": 5},
+        ],
+    )
+    def test_from_wire_refuses_wrong_types(self, field):
+        wire = {**JobRequest(name="ok", argv=["true"]).to_wire(), **field}
+        with pytest.raises(ValueError, match=next(iter(field))):
+            JobRequest.from_wire(wire)
+
     def test_from_wire_revalidates(self):
         wire = JobRequest(name="ok", argv=["true"]).to_wire()
         wire["n_tasks"] = 0
@@ -365,10 +387,16 @@ class TestClusterBackendService:
         assert proxy.describe("mallory", desc["id"], view_all=True)["id"] == desc["id"]
 
     def test_submissions_must_carry_an_owner(self, backend_service):
-        bus, _service, _dist = backend_service
-        proxy = ClusterProxy(bus)
-        with pytest.raises(JobError, match="owner"):
-            proxy.submit(JobRequest(name="anon", argv=["true"]))
+        bus, service, _dist = backend_service
+        for port in (service.cluster, ClusterProxy(bus)):
+            with pytest.raises(JobError, match="owner"):
+                port.submit(JobRequest(name="anon", argv=["true"]))
+
+    def test_unknown_severity_is_refused_on_both_transports(self, backend_service):
+        bus, service, _dist = backend_service
+        for port in (service.cluster, ClusterProxy(bus)):
+            with pytest.raises(BusError, match="min_severity"):
+                port.events("bogus", view_all=True)
 
     def test_control_state_tracks_distributor_version(self, backend_service):
         bus, _service, dist = backend_service
@@ -400,6 +428,65 @@ class TestClusterBackendService:
         proxy = ClusterProxy(bus)
         with pytest.raises(JobError):
             proxy.describe("alice", "job-999999")
+
+
+#: a valid and a wrongly typed wire value for each plain parameter hint
+_WIRE_VALUES = {
+    str: ("x", 5),
+    int: (1, True),
+    bool: (True, "yes"),
+    float: (1.5, "1.5"),
+    dict: ({}, []),
+    JobRequest: (JobRequest(name="j", owner="alice", argv=["true"]).to_wire(), "job"),
+}
+
+
+def _wire_values(hint) -> tuple:
+    """``(valid, wrong)`` wire values for a port parameter's type hint."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return _WIRE_VALUES[args[0] if args else hint]
+
+
+class TestPortWireChecks:
+    """Every port RPC refuses a malformed params dict before its method runs."""
+
+    @staticmethod
+    def _params(call) -> tuple[dict, list[tuple[str, dict]]]:
+        """Valid params for ``call``, and ``(case, params)`` for each bad form."""
+        hints = typing.get_type_hints(call.function)
+        valid = {name: _wire_values(hints[name])[0] for name in call.names}
+        bad = [("unknown", {**valid, "bogus": 1})]
+        required = [name for name, _check, req in call.params if req]
+        if required:
+            bad.append(("missing", {k: v for k, v in valid.items() if k != required[0]}))
+        bad += [
+            (f"wrong {name}", {**valid, name: _wire_values(hints[name])[1]})
+            for name in call.names
+        ]
+        return valid, bad
+
+    @pytest.mark.parametrize("rpc", sorted(PORT_CALLS))
+    def test_malformed_params_are_refused_before_the_method_runs(self, rpc, monkeypatch):
+        call = PORT_CALLS[rpc]
+        ran = []
+        monkeypatch.setattr(LocalCluster, call.method, lambda *a, **k: ran.append(k))
+        dist = JobDistributor(
+            Grid(ClusterSpec.small(segments=1, slaves=1, cores=2)), SubprocessBackend()
+        )
+        bus = MessageBus()
+        service = ClusterBackendService(bus, dist).start()
+        try:
+            client = RpcClient(bus, "cluster.backend")
+            valid, bad = self._params(call)
+            for case, params in bad:
+                with pytest.raises(RpcRemoteError) as info:
+                    client.call(rpc, params)
+                assert info.value.remote_type == "BusError", (case, str(info.value))
+            assert ran == []
+            client.call(rpc, valid)  # the well-formed call does reach the method
+            assert len(ran) == 1
+        finally:
+            service.stop()
 
 
 class TestReplyLatencyModel:

@@ -5,7 +5,7 @@ import pytest
 from repro._errors import JobError
 from repro.cluster.job import JobRequest
 from repro.cluster.workloads import ExploreJobSpec, run_exploration
-from repro.interleave.explorer import explore
+from repro.interleave.explorer import STOP_EXHAUSTED, explore
 from repro.labs.explore import program
 from repro.portal.client import PortalError
 
@@ -19,7 +19,7 @@ class TestRunExploration:
         spec = ExploreJobSpec(partitions=3, seed_schedules=2, wave_budget=128)
         dist = run_exploration(callable_distributor, factory, spec)
         solo = explore(factory, max_schedules=100_000, strategy="dpor")
-        assert dist.exhausted and solo.exhausted
+        assert dist.stop_reason == solo.stop_reason == STOP_EXHAUSTED
         assert dist.finding_set() == solo.finding_set()
         assert dist.schedules_run == solo.schedules_run
 
@@ -35,7 +35,7 @@ class TestRunExploration:
         factory = program("lab1", "fixed")
         spec = ExploreJobSpec(partitions=4, seed_schedules=1000)
         result = run_exploration(callable_distributor, factory, spec)
-        assert result.exhausted
+        assert result.stop_reason == STOP_EXHAUSTED
         assert not callable_distributor.jobs, "no worker jobs were needed"
 
     def test_spec_validation(self):

@@ -73,7 +73,7 @@ class TestSoundness:
         dpor = explore(
             program(lab_id, variant, **sizes), max_schedules=100_000, strategy="dpor"
         )
-        assert naive.exhausted and dpor.exhausted
+        assert naive.stop_reason == dpor.stop_reason == STOP_EXHAUSTED
         assert dpor.finding_set() == naive.finding_set()
         assert dpor.schedules_run <= naive.schedules_run
 
@@ -83,7 +83,7 @@ class TestSoundness:
     def test_synthetic_equivalence(self, factory):
         naive = explore(factory, max_schedules=10_000)
         dpor = explore(factory, max_schedules=10_000, strategy="dpor")
-        assert naive.exhausted and dpor.exhausted
+        assert naive.stop_reason == dpor.stop_reason == STOP_EXHAUSTED
         assert dpor.finding_set() == naive.finding_set()
 
     def test_dpor_witness_replays(self):
@@ -115,14 +115,14 @@ class TestReduction:
 
         naive = explore(factory, max_schedules=10_000)
         dpor = explore(factory, max_schedules=10_000, strategy="dpor")
-        assert naive.exhausted and dpor.exhausted
+        assert naive.stop_reason == dpor.stop_reason == STOP_EXHAUSTED
         assert dpor.schedules_run == 1, "all steps commute: a single class"
         assert naive.schedules_run > 1
 
     def test_reduction_on_philosophers(self):
         naive = explore(program("lab6", "broken"), max_schedules=100_000)
         dpor = explore(program("lab6", "broken"), max_schedules=100_000, strategy="dpor")
-        assert naive.exhausted and dpor.exhausted
+        assert naive.stop_reason == dpor.stop_reason == STOP_EXHAUSTED
         assert dpor.schedules_run * 10 <= naive.schedules_run
         assert dpor.finding_set() == naive.finding_set()
 
@@ -136,7 +136,7 @@ class TestStopReasons:
     def test_schedule_budget(self):
         result = explore(ab_ba_factory, max_schedules=3, strategy="dpor")
         assert result.stop_reason == STOP_SCHEDULE_BUDGET
-        assert not result.exhausted
+        assert result.stop_reason != STOP_EXHAUSTED
 
     def test_stop_on_first(self):
         result = explore(
@@ -155,11 +155,11 @@ class TestStopReasons:
     def test_naive_budget_reason(self):
         result = explore(ab_ba_factory, max_schedules=3)
         assert result.stop_reason == STOP_SCHEDULE_BUDGET
-        assert not result.exhausted
+        assert result.stop_reason != STOP_EXHAUSTED
 
     def test_exhausted_reason(self):
         result = explore(ab_ba_factory, max_schedules=1000)
-        assert result.stop_reason == STOP_EXHAUSTED and result.exhausted
+        assert result.stop_reason == STOP_EXHAUSTED
 
 
 class TestRaceDedup:

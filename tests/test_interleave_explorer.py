@@ -1,6 +1,7 @@
 """Systematic schedule exploration."""
 
 from repro.interleave import (
+    STOP_EXHAUSTED,
     Nop,
     Scheduler,
     SharedVar,
@@ -73,11 +74,11 @@ class TestExplore:
     def test_finds_ab_ba_deadlock(self):
         result = explore(ab_ba_factory, max_schedules=200)
         assert result.deadlocks, "exploration must find the AB/BA deadlock"
-        assert result.exhausted
+        assert result.stop_reason == STOP_EXHAUSTED
 
     def test_proves_ordered_program_deadlock_free(self):
         result = explore(ordered_factory, max_schedules=500)
-        assert result.exhausted and result.clean
+        assert result.stop_reason == STOP_EXHAUSTED and result.clean
 
     def test_finds_lost_update_violation(self):
         result = explore(racy_counter_factory, max_schedules=500)
@@ -93,7 +94,7 @@ class TestExplore:
     def test_budget_exhaustion_flagged(self):
         result = explore(ab_ba_factory, max_schedules=3)
         assert result.schedules_run == 3
-        assert not result.exhausted
+        assert result.stop_reason != STOP_EXHAUSTED
 
     def test_deadlock_prefix_replays(self):
         """A reported prefix actually reproduces the deadlock."""
@@ -126,7 +127,7 @@ class TestStrategies:
     def test_bfs_exhaustive_agrees_with_dfs(self):
         dfs = explore(ab_ba_factory, max_schedules=500, strategy="dfs")
         bfs = explore(ab_ba_factory, max_schedules=500, strategy="bfs")
-        assert dfs.exhausted and bfs.exhausted
+        assert dfs.stop_reason == bfs.stop_reason == STOP_EXHAUSTED
         assert len(dfs.deadlocks) == len(bfs.deadlocks)
         assert dfs.schedules_run == bfs.schedules_run
 

@@ -322,6 +322,24 @@ class TestEachTransport:
         assert (body["job"]["name"], body["job"]["owner"]) == ("hello.c", "alice")
         assert deployment.dist.job(body["job"]["id"]).request.retry.max_attempts == 2
 
+    def test_non_string_stdin_text_answers_400(self, deployment):
+        token = deployment.login("alice", "alice-pass")
+        spec = {"name": "cat", "kind": "interactive", "argv": ["cat"], "timeout_s": 30.0}
+        status, _, body = deployment.call("POST", "/api/jobs", spec, token)
+        assert status == 201, body
+        job_id = body["job"]["id"]
+        for text in (5, ["a"], None):
+            status, _, answer = deployment.call(
+                "POST", f"/api/jobs/{job_id}/input", {"text": text}, token
+            )
+            assert status == 400, (text, answer)
+        status, _, _ = deployment.call("POST", f"/api/jobs/{job_id}/input", {"text": "ok\n"}, token)
+        assert status == 200
+        deployment.port.job("alice", job_id).stdin.close()  # EOF: cat exits
+        assert deployment.dist.wait_all(timeout=10.0)
+        _, _, out = deployment.call("GET", f"/api/jobs/{job_id}/output", token=token)
+        assert (out["state"], out["stdout"]) == ("completed", ["ok"])
+
     def test_bad_argv_spec_is_400_not_500(self, deployment):
         token = deployment.login("alice", "alice-pass")
         for spec in ({"argv": ["true"], "n_tasks": "many"}, {"argv": ["true"], "kind": "x"}):
@@ -358,6 +376,18 @@ class TestEachTransport:
             ("POST", "/api/lint", {"path": 5}),
             ("POST", "/api/files/rename", {"path": "hello.c", "new_name": 5}),
             ("POST", "/api/compile", {"path": ["hello.c"]}),
+            ("POST", "/api/jobs", {"argv": ["true"], "need_gpu": 0}),
+            ("POST", "/api/jobs", {"argv": ["true"], "after_ok": "no"}),
+            ("POST", "/api/jobs", {"argv": "echo hi"}),
+            ("POST", "/api/jobs", {"argv": ["true"], "after": "job-1"}),
+            ("POST", "/api/jobs", {"argv": ["true"], "env": {"A": 1}}),
+            ("POST", "/api/jobs", {"argv": ["true"], "node_type": ["gpu"]}),
+            ("POST", "/api/jobs", {"argv": ["true"], "workdir": 5}),
+            ("POST", "/api/jobs", {"argv": ["true"], "retry": 5}),
+            ("POST", "/api/users", {"username": ["zed"], "password": "zed-pass"}),
+            ("POST", "/api/password", {"old": 5, "new": "new-pass"}),
+            ("POST", "/api/login", {"username": 5, "password": "admin-pass"}),
+            ("POST", "/api/explore", {"lab": 5}),
         ],
     )
     def test_wrongly_typed_fields_answer_400(self, deployment, method, path, body):
