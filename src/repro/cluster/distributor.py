@@ -5,8 +5,11 @@ object, which in turn upon success contacts a job distributor to
 allocate resources on the cluster and finally dispatch the job onto
 those resources".  :class:`JobDistributor` is that component:
 
-* :meth:`submit` accepts a :class:`~repro.cluster.job.JobRequest`,
-  queues it and immediately attempts dispatch;
+* :meth:`submit` accepts a :class:`~repro.cluster.job.JobRequest`
+  (validated, journaled, QUEUED) and then triggers dispatch through
+  :func:`~repro._reply.after_reply`: at once for a direct caller, and
+  after the HTTP reply for a request the portal's server is answering,
+  so a student's submission is acknowledged before it is launched;
 * dispatch asks the configured scheduling policy for placements,
   reserves cores/memory on the chosen nodes, and hands the job to the
   execution backend;
@@ -66,6 +69,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro._errors import JobError, ResourceError, SchedulingError
+from repro._reply import after_reply
 from repro.cluster.backends import (
     CallableBackend,
     ExecutionBackend,
@@ -88,6 +92,10 @@ from repro.cluster.scheduler import (
 from repro.telemetry.instruments import DispatchTelemetry
 
 __all__ = ["JobDistributor"]
+
+#: delay before a dispatch round that raised is tried again (seconds, in
+#: ``now_fn`` time): the jobs it left queued may have been acknowledged.
+_REDISPATCH_S = 0.05
 
 
 class JobDistributor:
@@ -197,9 +205,15 @@ class JobDistributor:
 
     # -- submission -----------------------------------------------------------
     def submit(self, request: JobRequest) -> Job:
-        """Accept a request; returns the queued (or already running) Job."""
+        """Accept a request and trigger a dispatch round; returns the Job.
+
+        The job is journaled and QUEUED when this returns to a request
+        served inside a reply scope, whose dispatch runs once the reply
+        is out; any other caller gets the job after the round, RUNNING
+        when capacity allowed.
+        """
         job = self._accept(request)
-        self.dispatch()
+        after_reply(self.dispatch)
         return job
 
     def submit_array(self, request: JobRequest, count: int) -> list[Job]:
@@ -209,8 +223,8 @@ class JobDistributor:
         (no implied ordering).  Returns them in index order.
 
         The whole array is *batched*: every clone is enqueued first and a
-        single dispatch round then places as many as fit, instead of one
-        full scheduling round per element.
+        single dispatch round, triggered as in :meth:`submit`, then places
+        as many as fit, instead of one full scheduling round per element.
         """
         if count < 1:
             raise JobError(f"array count must be >= 1, got {count}")
@@ -218,7 +232,7 @@ class JobDistributor:
             self._accept(dataclasses.replace(request, name=f"{request.name}[{k}]"))
             for k in range(count)
         ]
-        self.dispatch()
+        after_reply(self.dispatch)
         return jobs
 
     def _accept(self, request: JobRequest) -> Job:
@@ -283,7 +297,9 @@ class JobDistributor:
         Marks the distributor dirty and, if no drain is in flight, runs
         scheduling rounds until the dirty flag stays clear.  A call that
         lands while another thread is draining coalesces into that drain
-        and returns 0 — the in-flight loop picks the work up.
+        and returns 0 — the in-flight loop picks the work up.  A round
+        that raises re-raises here and arms a wake-up ``_REDISPATCH_S``
+        later, so the queue is tried again with no other trigger.
         """
         with self._lock:
             self._counters["requests"] += 1
@@ -307,6 +323,7 @@ class JobDistributor:
         except BaseException:
             with self._lock:
                 self._draining = False
+                self._arm_timer(self.now_fn() + _REDISPATCH_S)
                 self._idle.notify_all()
             raise
 

@@ -29,7 +29,10 @@ from typing import Any, Callable, Optional
 from repro._errors import JobError
 from repro.cluster.streams import InteractiveChannel, StreamCapture
 
-__all__ = ["JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "RetryPolicy"]
+__all__ = [
+    "JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "RetryPolicy",
+    "wire_strings", "wire_typed",
+]
 
 
 class _JobSeq:
@@ -308,55 +311,66 @@ class JobRequest:
         """Rebuild a request from :meth:`to_wire` output (validates anew);
         a wrongly typed field is a :class:`ValueError`, never coerced."""
         data = dict(wire)
-        retry = _wire_typed(data, "retry", dict)
+        retry = wire_typed(data, "retry", dict)
         if retry is not None:
-            retry = RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                backoff_base_s=float(retry.get("backoff_base_s", 0.25)),
-                backoff_factor=float(retry.get("backoff_factor", 2.0)),
-                backoff_max_s=float(retry.get("backoff_max_s", 30.0)),
-                jitter=float(retry.get("jitter", 0.1)),
-                retry_on=frozenset(retry.get("retry_on", _RETRY_CLASSES)),
-            )
-        env = _wire_typed(data, "env", dict, {})
+            # absent keys keep RetryPolicy's defaults
+            policy = {
+                key: wire_typed(retry, key, kind)
+                for key, kind in _RETRY_WIRE.items() if retry.get(key) is not None
+            }
+            retry_on = wire_strings(retry, "retry_on")
+            if retry_on is not None:
+                policy["retry_on"] = frozenset(retry_on)
+            retry = RetryPolicy(**policy)
+        env = wire_typed(data, "env", dict, {})
         if not all(type(k) is str and type(v) is str for k, v in env.items()):
             raise ValueError("env must map strings to strings")
         return cls(
-            name=str(data.get("name", "job")),
-            owner=str(data.get("owner", "")),
-            kind=JobKind(data.get("kind", "sequential")),
-            argv=_wire_strings(data, "argv"),
-            sim_duration=data.get("sim_duration"),
-            n_tasks=int(data.get("n_tasks", 1)),
-            cores_per_task=int(data.get("cores_per_task", 1)),
-            memory_mb_per_task=int(data.get("memory_mb_per_task", 0)),
-            need_gpu=_wire_typed(data, "need_gpu", bool, False),
-            node_type=_wire_typed(data, "node_type", str),
-            priority=int(data.get("priority", 0)),
-            timeout_s=data.get("timeout_s"),
-            wallclock_timeout_s=data.get("wallclock_timeout_s"),
+            name=wire_typed(data, "name", str, "job"),
+            owner=wire_typed(data, "owner", str, ""),
+            kind=JobKind(wire_typed(data, "kind", str, "sequential")),
+            argv=wire_strings(data, "argv"),
+            sim_duration=wire_typed(data, "sim_duration", float),
+            n_tasks=wire_typed(data, "n_tasks", int, 1),
+            cores_per_task=wire_typed(data, "cores_per_task", int, 1),
+            memory_mb_per_task=wire_typed(data, "memory_mb_per_task", int, 0),
+            need_gpu=wire_typed(data, "need_gpu", bool, False),
+            node_type=wire_typed(data, "node_type", str),
+            priority=wire_typed(data, "priority", int, 0),
+            timeout_s=wire_typed(data, "timeout_s", float),
+            wallclock_timeout_s=wire_typed(data, "wallclock_timeout_s", float),
             retry=retry,
-            est_runtime_s=data.get("est_runtime_s"),
-            after=tuple(_wire_strings(data, "after") or ()),
-            after_ok=_wire_typed(data, "after_ok", bool, False),
-            stdin_data=str(data.get("stdin_data", "")),
+            est_runtime_s=wire_typed(data, "est_runtime_s", float),
+            after=tuple(wire_strings(data, "after") or ()),
+            after_ok=wire_typed(data, "after_ok", bool, False),
+            stdin_data=wire_typed(data, "stdin_data", str, ""),
             env=dict(env),
-            workdir=_wire_typed(data, "workdir", str),
+            workdir=wire_typed(data, "workdir", str),
         )
 
 
-def _wire_typed(data: dict, key: str, kind: type, default: Any = None) -> Any:
+#: the numeric :class:`RetryPolicy` fields a wire ``retry`` object may set.
+_RETRY_WIRE: dict[str, type] = {
+    "max_attempts": int, "backoff_base_s": float, "backoff_factor": float,
+    "backoff_max_s": float, "jitter": float,
+}
+
+
+def wire_typed(data: dict, key: str, kind: type, default: Any = None) -> Any:
     """``data[key]`` if it is a ``kind`` (``default`` when absent or null);
-    :class:`ValueError` for any other type."""
+    :class:`ValueError` for any other type.  An ``int`` passes as a
+    ``float``; a ``bool`` is never an ``int``."""
     value = data.get(key)
-    if value is not None and type(value) is not kind:
-        raise ValueError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
-    return default if value is None else value
+    if value is None:
+        return default
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ValueError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
-def _wire_strings(data: dict, key: str) -> Optional[list[str]]:
+def wire_strings(data: dict, key: str) -> Optional[list[str]]:
     """``data[key]`` as a new list of strings (``None`` when absent or null)."""
-    value = _wire_typed(data, key, list)
+    value = wire_typed(data, key, list)
     if value is not None and not all(type(v) is str for v in value):
         raise ValueError(f"{key} must be a list of strings")
     return None if value is None else list(value)

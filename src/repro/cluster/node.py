@@ -59,10 +59,6 @@ class Node:
         return self.spec.cores - self._cores_used if self.state is NodeState.UP else 0
 
     @property
-    def memory_used_mb(self) -> int:
-        return self._memory_used
-
-    @property
     def memory_free_mb(self) -> int:
         return self.spec.memory_mb - self._memory_used if self.state is NodeState.UP else 0
 

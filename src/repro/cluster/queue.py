@@ -68,10 +68,3 @@ class JobQueue:
         """Oldest queued job, or None."""
         with self._lock:
             return self._jobs[0] if self._jobs else None
-
-    def purge_terminal(self) -> int:
-        """Drop cancelled/finished jobs that are still lingering; count them."""
-        with self._lock:
-            before = len(self._jobs)
-            self._jobs = [j for j in self._jobs if not j.terminal]
-            return before - len(self._jobs)

@@ -79,9 +79,6 @@ class CrashPoints:
     def disarm(self, point: str) -> None:
         self._armed.pop(point, None)
 
-    def disarm_all(self) -> None:
-        self._armed.clear()
-
     @property
     def armed(self) -> tuple[str, ...]:
         return tuple(sorted(self._armed))

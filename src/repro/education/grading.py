@@ -137,11 +137,6 @@ class LabGrader:
             self._feedback_cache[key] = lines
         return self._feedback_cache[key]
 
-    def grade_student(self, student: Student, lab_id: str, rng: np.random.Generator) -> float:
-        """One (student, lab) grading event → numeric score."""
-        score, _ = self._grade_event(student, lab_id, rng)
-        return score
-
     def _grade_event(
         self, student: Student, lab_id: str, rng: np.random.Generator
     ) -> tuple[float, bool]:

@@ -82,7 +82,7 @@ from repro._errors import (
 )
 from repro.bus.service import LocalCluster
 from repro.cluster.distributor import JobDistributor
-from repro.cluster.job import JobRequest
+from repro.cluster.job import JobRequest, wire_strings, wire_typed
 from repro.portal import templates
 from repro.portal.admission import (
     AdmissionController,
@@ -448,10 +448,10 @@ class PortalApp:
         path = _text(wire, "path", None)
         language = _text(wire, "language", None)
         try:
-            args = tuple(str(a) for a in wire.pop("args", ()))
+            args = tuple(wire_strings(wire, "args") or ())
             if "stdin" in wire:
                 wire["stdin_data"] = wire.pop("stdin")
-            max_retries = int(wire.pop("max_retries", 0))
+            max_retries = wire_typed(wire, "max_retries", int, 0)
             if max_retries < 0:
                 raise ValueError(f"max_retries must be >= 0, got {max_retries}")
             if max_retries:

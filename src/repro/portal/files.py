@@ -281,13 +281,6 @@ class FileManager:
                     return
                 yield chunk
 
-    def read_iter(
-        self, username: str, rel_path: str, chunk_size: int = CHUNK_BYTES
-    ) -> Iterator[bytes]:
-        """Stream file contents in bounded chunks (download fast path)."""
-        p, _ = self.file_entry(username, rel_path)
-        return self.iter_file(p, chunk_size)
-
     def _existing_size(self, p: Path) -> int:
         try:
             return p.stat().st_size if p.is_file() else 0

@@ -20,13 +20,22 @@ HTTP/1.1 (``http.client``, browsers) read to the close.
   out in one buffer together with the first body chunk, which for every
   non-streamed response is the whole body; later chunks of a streamed
   download are written one by one.
+* **Deferred work runs after the reply.**  Each request runs inside a
+  :class:`~repro._reply.ReplyScope`, so work the app hands to
+  :func:`~repro._reply.after_reply` (a submission's dispatch round and
+  launch) runs on the request's worker once the response is sent and the
+  socket closed, before the worker parks.  The client is not kept
+  waiting for it: the worker first yields its CPU, so the client the
+  close woke runs before the deferred work.  A callback that raises
+  goes to ``handle_error`` without skipping the callbacks after it.
 
 The server subclasses :class:`socketserver.TCPServer` and keeps its
 hook methods: ``process_request`` runs on the accept thread, and
 ``process_request_thread`` (which calls ``finish_request`` and then
 ``shutdown_request``) on the request's worker, each called through
 ``self`` on every request.  Wrapping them on an instance is how a
-tracer times the accept, hand-off, request and close legs.
+tracer times the accept, hand-off, request and close legs; the deferred
+work runs outside all of them.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ import time
 import urllib.parse
 from email.utils import formatdate
 from socketserver import TCPServer
+
+from repro._reply import ReplyScope
 
 __all__ = ["serve", "start_background", "start_fleet"]
 
@@ -174,7 +185,8 @@ class _PortalServer(TCPServer):
 
     def _work(self, worker: _Worker, request, client_address) -> None:
         while True:
-            self.process_request_thread(request, client_address)
+            with ReplyScope(lambda: self.handle_error(request, client_address)):
+                self.process_request_thread(request, client_address)
             request = client_address = None
             with self._lock:
                 if self._closed:

@@ -331,12 +331,37 @@ class TestJobRequestWire:
             {"node_type": 5},
             {"workdir": 5},
             {"retry": 5},
+            {"name": ["x"]},
+            {"owner": 5},
+            {"kind": 1},
+            {"stdin_data": 5},
+            {"n_tasks": 1.9},
+            {"cores_per_task": "2"},
+            {"memory_mb_per_task": 1.5},
+            {"priority": True},
+            {"sim_duration": "5"},
+            {"timeout_s": "soon"},
+            {"wallclock_timeout_s": False},
+            {"est_runtime_s": [1]},
+            {"retry": {"retry_on": "failed"}},
+            {"retry": {"max_attempts": 2.5}},
+            {"retry": {"backoff_base_s": "1"}},
+            {"retry": {"jitter": True}},
         ],
     )
     def test_from_wire_refuses_wrong_types(self, field):
         wire = {**JobRequest(name="ok", argv=["true"]).to_wire(), **field}
-        with pytest.raises(ValueError, match=next(iter(field))):
+        (key, value), = field.items()
+        if key == "retry" and type(value) is dict:  # the message names the retry field
+            (key, _), = value.items()
+        with pytest.raises(ValueError, match=key):
             JobRequest.from_wire(wire)
+
+    def test_from_wire_takes_an_int_for_a_float_and_keeps_retry_defaults(self):
+        wire = {"argv": ["true"], "timeout_s": 5, "retry": {"max_attempts": 2, "jitter": 0}}
+        req = JobRequest.from_wire(wire)
+        assert req.timeout_s == 5
+        assert req.retry == RetryPolicy(max_attempts=2, jitter=0.0)
 
     def test_from_wire_revalidates(self):
         wire = JobRequest(name="ok", argv=["true"]).to_wire()

@@ -61,15 +61,6 @@ class TestJobQueue:
         q = JobQueue()
         assert not q.remove(self.make_job())
 
-    def test_purge_terminal(self):
-        q = JobQueue()
-        alive, dead = self.make_job("alive"), self.make_job("dead")
-        q.push(alive)
-        q.push(dead)
-        dead.transition(JobState.CANCELLED)
-        assert q.purge_terminal() == 1
-        assert [j.request.name for j in q] == ["alive"]
-
     def test_empty_head_is_none(self):
         assert JobQueue().head() is None
 

@@ -346,6 +346,13 @@ class TestEachTransport:
             status, _, body = deployment.call("POST", "/api/jobs", spec, token)
             assert status == 400, body
 
+    def test_a_retry_on_string_is_refused_not_split_into_characters(self, deployment):
+        token = deployment.login("alice", "alice-pass")
+        spec = {"argv": ["true"], "retry": {"retry_on": "failed"}}
+        status, _, body = deployment.call("POST", "/api/jobs", spec, token)
+        assert status == 400 and "retry_on must be list" in body["error"], body
+        assert deployment.dist.jobs == {}
+
     def test_no_post_route_answers_500_to_a_non_object_body(self, deployment):
         deployment.seed("a1", "alice", ["echo", "hi"])
         token = deployment.login("admin", "admin-pass")
@@ -384,6 +391,13 @@ class TestEachTransport:
             ("POST", "/api/jobs", {"argv": ["true"], "node_type": ["gpu"]}),
             ("POST", "/api/jobs", {"argv": ["true"], "workdir": 5}),
             ("POST", "/api/jobs", {"argv": ["true"], "retry": 5}),
+            ("POST", "/api/jobs", {"argv": ["true"], "n_tasks": 1.9}),
+            ("POST", "/api/jobs", {"argv": ["true"], "stdin": 5}),
+            ("POST", "/api/jobs", {"argv": ["true"], "name": ["x"]}),
+            ("POST", "/api/jobs", {"argv": ["true"], "priority": True}),
+            ("POST", "/api/jobs", {"argv": ["true"], "retry": {"max_attempts": 2.5}}),
+            ("POST", "/api/jobs", {"path": "hello.c", "max_retries": True}),
+            ("POST", "/api/jobs", {"path": "hello.c", "args": ["-n", 5]}),
             ("POST", "/api/users", {"username": ["zed"], "password": "zed-pass"}),
             ("POST", "/api/password", {"old": 5, "new": "new-pass"}),
             ("POST", "/api/login", {"username": 5, "password": "admin-pass"}),
