@@ -4,10 +4,11 @@ One :class:`ClusterProxy` per front-end worker.  Its port methods are
 not written here: one stub per :data:`~repro.bus.service.CLUSTER_PORT`
 entry is generated from the :class:`~repro.bus.service.LocalCluster`
 method it stands for (same name, signature and docstring).  A stub maps
-its arguments to the RPC's params, sends a :class:`JobRequest` as
-:meth:`JobRequest.to_wire`, and turns a list reply back into a tuple
-where the method returns one.  The proxy also maps remote error types
-back onto the local exception classes the portal's HTTP error table
+its arguments to the RPC's params, puts each in its wire form with the
+port call's :class:`~repro.wire.Fields` codec (a dataclass such as a
+:class:`JobRequest` becomes an object), and turns a list reply back
+into a tuple where the method returns one.  The proxy also maps remote
+error types back onto the local exception classes the portal's HTTP error table
 already understands, so a front-end handler body is indistinguishable
 from the in-process one.  Spec applies that change a portal stanza
 arrive on the ``cluster.spec.applied`` topic
@@ -80,17 +81,13 @@ class ClusterProxy:
 
 def _stub(call: PortCall) -> Callable[..., Any]:
     """The proxy method for one port call: one RPC."""
-    rpc, names, requests, tuple_reply = call.rpc, call.names, call.requests, call.tuple_reply
+    rpc, names, encode, tuple_reply = call.rpc, call.names, call.fields.encode, call.tuple_reply
 
     @wraps(call.function)
     def stub(self: ClusterProxy, *args: Any, **kwargs: Any) -> Any:
         if len(args) > len(names):
             raise TypeError(f"{call.method}() takes {len(names)} arguments, got {len(args)}")
-        params = dict(zip(names, args), **kwargs)
-        for name in requests:
-            if name in params:
-                params[name] = params[name].to_wire()
-        reply = self._call(rpc, params)
+        reply = self._call(rpc, encode(dict(zip(names, args), **kwargs)))
         return tuple(reply) if tuple_reply else reply
 
     stub.__qualname__ = f"ClusterProxy.{call.method}"

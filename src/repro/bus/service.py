@@ -23,9 +23,11 @@ it on :data:`SPEC_TOPIC` for the workers.
 
 :class:`ClusterBackendService` is the only thing on the cluster side of
 the bus.  It registers one generic handler per :data:`CLUSTER_PORT`
-entry, which checks the wire against the method's type hints, resolved
-once at import (:class:`PortCall`), and refuses a missing, unknown or
-wrongly typed parameter with :class:`BusError` before the method runs.
+entry.  It checks the wire with a :class:`~repro.wire.Fields` codec read
+once from the method's signature (:class:`PortCall`), the same codec
+that checks HTTP bodies and rebuilds a :class:`JobRequest`, and refuses
+a missing, unknown or wrongly typed parameter with :class:`BusError`
+before the method runs.  A ``null`` parameter is an absent one.
 
 ``reply_latency_s`` models the control-plane round trip a real cluster
 imposes (the paper's portal talks to its cluster over a network; our
@@ -42,8 +44,7 @@ from __future__ import annotations
 
 import inspect
 from json import dumps
-from types import NoneType, UnionType
-from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, get_origin, get_type_hints
 
 from repro._errors import AuthorizationError, BusError, JobError, SpecError
 from repro.bus.core import MessageBus
@@ -52,6 +53,7 @@ from repro.cluster.distributor import JobDistributor
 from repro.cluster.job import Job, JobKind, JobRequest
 from repro.spec import Reconfigurer
 from repro.telemetry.events import SEVERITIES
+from repro.wire import Fields
 
 __all__ = ["CLUSTER_PORT", "ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster",
            "PORT_CALLS", "PortCall", "SPEC_TOPIC"]
@@ -247,7 +249,7 @@ class LocalCluster:
         variant: str = "broken",
         algorithm: str = "dpor",
         max_schedules: int = 2000,
-        max_seconds: float | None = 30.0,
+        max_seconds: float = 30.0,
     ) -> dict:
         """Submit a schedule exploration of a :mod:`repro.labs.explore`
         program as a cluster job; returns its ``describe()``.
@@ -343,39 +345,20 @@ CLUSTER_PORT: dict[str, str] = {
     "jobs.explore_report": "explore_report",
 }
 
-#: wire types each parameter hint accepts (JSON decodes to exactly these)
-_WIRE_TYPES: dict[type, tuple[type, ...]] = {
-    str: (str,), int: (int,), bool: (bool,), float: (int, float), dict: (dict,),
-    JobRequest: (dict,), NoneType: (NoneType,),
-}
-
-
-def _wire_types(hint: Any) -> tuple[type, ...]:
-    """The wire types a parameter hint accepts; ``X | None`` adds null."""
-    if get_origin(hint) in (Union, UnionType):
-        return tuple(t for arg in get_args(hint) for t in _wire_types(arg))
-    return _WIRE_TYPES[hint]
-
 
 class PortCall:
-    """One port method's wire form, resolved once from its signature."""
+    """One port method's wire form, read once from its signature."""
 
     def __init__(self, rpc: str, method: str) -> None:
         self.rpc = rpc
         self.method = method
         self.function = fn = getattr(LocalCluster, method)
-        hints = get_type_hints(fn)
         params = list(inspect.signature(fn).parameters.values())[1:]  # drop self
-        #: parameter names in declaration order (the stubs' positional order)
-        self.names = tuple(p.name for p in params)
-        #: parameters that cross as :meth:`JobRequest.to_wire` dicts
-        self.requests = tuple(p.name for p in params if hints[p.name] is JobRequest)
-        #: ``(name, accepted wire types, required)`` per parameter
-        self.params = tuple(
-            (p.name, _wire_types(hints[p.name]), p.default is p.empty) for p in params
-        )
+        #: the parameters' codec, in declaration order (the stubs' positional order)
+        self.fields = Fields.of_parameters(fn, params)
+        self.names = self.fields.names
         self._accepted = frozenset(self.names)
-        returns = hints.get("return")
+        returns = get_type_hints(fn).get("return")
         #: JSON turns a tuple into a list; the stub turns it back
         self.tuple_reply = returns is tuple or get_origin(returns) is tuple
 
@@ -385,22 +368,10 @@ class PortCall:
         if not self._accepted.issuperset(params):
             unknown = sorted(set(params) - self._accepted)
             raise BusError(f"{self.rpc}: unknown parameter(s) {', '.join(unknown)}")
-        kwargs = {}
-        for name, types, required in self.params:
-            if name in params:
-                value = kwargs[name] = params[name]
-                if type(value) not in types:
-                    expected = " or ".join("null" if t is NoneType else t.__name__ for t in types)
-                    raise BusError(f"{self.rpc}: {name!r} must be {expected}, "
-                                   f"got {type(value).__name__}")
-            elif required:
-                raise BusError(f"{self.rpc} needs {name!r}")
-        for name in self.requests:
-            try:
-                kwargs[name] = JobRequest.from_wire(kwargs[name])
-            except (TypeError, ValueError) as exc:
-                raise BusError(f"{self.rpc}: {name!r} {exc}") from None
-        return kwargs
+        try:
+            return self.fields.decode(params)
+        except ValueError as exc:
+            raise BusError(f"{self.rpc}: {exc}") from None
 
     def handler(self, cluster: LocalCluster) -> Callable[[dict], Any]:
         """The RPC handler: check the wire, then run the method on ``cluster``."""

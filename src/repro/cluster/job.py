@@ -28,11 +28,9 @@ from typing import Any, Callable, Optional
 
 from repro._errors import JobError
 from repro.cluster.streams import InteractiveChannel, StreamCapture
+from repro.wire import codec
 
-__all__ = [
-    "JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "RetryPolicy",
-    "wire_strings", "wire_typed",
-]
+__all__ = ["JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "RetryPolicy"]
 
 
 class _JobSeq:
@@ -179,16 +177,7 @@ class JobAttempt:
     backoff_s: Optional[float] = None  # delay before the *next* attempt, if retried
 
     def as_dict(self) -> dict:
-        return {
-            "no": self.no,
-            "placement": dict(self.placement),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outcome": self.outcome,
-            "error": self.error,
-            "exit_code": self.exit_code,
-            "backoff_s": self.backoff_s,
-        }
+        return {**vars(self), "placement": dict(self.placement)}
 
 
 @dataclass
@@ -219,9 +208,6 @@ class JobRequest:
     wallclock_timeout_s: Optional[float] = None
     """Total budget from submission — queue wait, retries and all; when it
     expires the job times out wherever it is (even still QUEUED)."""
-    retry: Optional[RetryPolicy] = None
-    """Per-job retry policy; ``None`` falls back to the distributor's
-    default (which is itself ``None`` — no retries — unless configured)."""
     est_runtime_s: Optional[float] = None
     """User-supplied runtime estimate; enables EASY backfilling."""
     after: tuple[str, ...] = ()
@@ -234,6 +220,10 @@ class JobRequest:
     stdin_data: str = ""
     env: dict[str, str] = field(default_factory=dict)
     workdir: Optional[str] = None
+    # The field order is the wire order, and journals put ``retry`` last.
+    retry: Optional[RetryPolicy] = None
+    """Per-job retry policy; ``None`` falls back to the distributor's
+    default (which is itself ``None`` — no retries — unless configured)."""
 
     def __post_init__(self) -> None:
         if self.n_tasks < 1 or self.cores_per_task < 1:
@@ -264,9 +254,10 @@ class JobRequest:
     def total_cores(self) -> int:
         return self.n_tasks * self.cores_per_task
 
-    # -- wire codec (repro.bus RPC boundary) -------------------------------
+    # -- wire codec (repro.bus RPC boundary, journal) ------------------------
     def to_wire(self) -> dict:
-        """JSON-safe form for the front-end → back-end RPC boundary.
+        """JSON-safe form for the front-end → back-end RPC boundary: every
+        field in declaration order, by its type hint (:mod:`repro.wire`).
 
         ``callable`` jobs cannot cross the bus — a live function has no
         wire form; the front-end tier only submits ``argv`` and
@@ -274,106 +265,17 @@ class JobRequest:
         """
         if self.callable is not None:
             raise JobError("callable jobs cannot cross the bus; submit argv instead")
-        wire = {
-            "name": self.name,
-            "owner": self.owner,
-            "kind": self.kind.value,
-            "argv": list(self.argv) if self.argv is not None else None,
-            "sim_duration": self.sim_duration,
-            "n_tasks": self.n_tasks,
-            "cores_per_task": self.cores_per_task,
-            "memory_mb_per_task": self.memory_mb_per_task,
-            "need_gpu": self.need_gpu,
-            "node_type": self.node_type,
-            "priority": self.priority,
-            "timeout_s": self.timeout_s,
-            "wallclock_timeout_s": self.wallclock_timeout_s,
-            "est_runtime_s": self.est_runtime_s,
-            "after": list(self.after),
-            "after_ok": self.after_ok,
-            "stdin_data": self.stdin_data,
-            "env": dict(self.env),
-            "workdir": self.workdir,
-        }
-        if self.retry is not None:
-            wire["retry"] = {
-                "max_attempts": self.retry.max_attempts,
-                "backoff_base_s": self.retry.backoff_base_s,
-                "backoff_factor": self.retry.backoff_factor,
-                "backoff_max_s": self.retry.backoff_max_s,
-                "jitter": self.retry.jitter,
-                "retry_on": sorted(self.retry.retry_on),
-            }
-        return wire
+        return codec(JobRequest).encode(self)
 
     @classmethod
     def from_wire(cls, wire: dict) -> "JobRequest":
-        """Rebuild a request from :meth:`to_wire` output (validates anew);
-        a wrongly typed field is a :class:`ValueError`, never coerced."""
-        data = dict(wire)
-        retry = wire_typed(data, "retry", dict)
-        if retry is not None:
-            # absent keys keep RetryPolicy's defaults
-            policy = {
-                key: wire_typed(retry, key, kind)
-                for key, kind in _RETRY_WIRE.items() if retry.get(key) is not None
-            }
-            retry_on = wire_strings(retry, "retry_on")
-            if retry_on is not None:
-                policy["retry_on"] = frozenset(retry_on)
-            retry = RetryPolicy(**policy)
-        env = wire_typed(data, "env", dict, {})
-        if not all(type(k) is str and type(v) is str for k, v in env.items()):
-            raise ValueError("env must map strings to strings")
-        return cls(
-            name=wire_typed(data, "name", str, "job"),
-            owner=wire_typed(data, "owner", str, ""),
-            kind=JobKind(wire_typed(data, "kind", str, "sequential")),
-            argv=wire_strings(data, "argv"),
-            sim_duration=wire_typed(data, "sim_duration", float),
-            n_tasks=wire_typed(data, "n_tasks", int, 1),
-            cores_per_task=wire_typed(data, "cores_per_task", int, 1),
-            memory_mb_per_task=wire_typed(data, "memory_mb_per_task", int, 0),
-            need_gpu=wire_typed(data, "need_gpu", bool, False),
-            node_type=wire_typed(data, "node_type", str),
-            priority=wire_typed(data, "priority", int, 0),
-            timeout_s=wire_typed(data, "timeout_s", float),
-            wallclock_timeout_s=wire_typed(data, "wallclock_timeout_s", float),
-            retry=retry,
-            est_runtime_s=wire_typed(data, "est_runtime_s", float),
-            after=tuple(wire_strings(data, "after") or ()),
-            after_ok=wire_typed(data, "after_ok", bool, False),
-            stdin_data=wire_typed(data, "stdin_data", str, ""),
-            env=dict(env),
-            workdir=wire_typed(data, "workdir", str),
-        )
+        """Rebuild a request from :meth:`to_wire` output (validates anew).
 
-
-#: the numeric :class:`RetryPolicy` fields a wire ``retry`` object may set.
-_RETRY_WIRE: dict[str, type] = {
-    "max_attempts": int, "backoff_base_s": float, "backoff_factor": float,
-    "backoff_max_s": float, "jitter": float,
-}
-
-
-def wire_typed(data: dict, key: str, kind: type, default: Any = None) -> Any:
-    """``data[key]`` if it is a ``kind`` (``default`` when absent or null);
-    :class:`ValueError` for any other type.  An ``int`` passes as a
-    ``float``; a ``bool`` is never an ``int``."""
-    value = data.get(key)
-    if value is None:
-        return default
-    if type(value) is not kind and not (kind is float and type(value) is int):
-        raise ValueError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def wire_strings(data: dict, key: str) -> Optional[list[str]]:
-    """``data[key]`` as a new list of strings (``None`` when absent or null)."""
-    value = wire_typed(data, key, list)
-    if value is not None and not all(type(v) is str for v in value):
-        raise ValueError(f"{key} must be a list of strings")
-    return None if value is None else list(value)
+        An absent or null field takes its default; a wrongly typed field
+        is a :class:`ValueError` naming it, never coerced; unknown keys
+        are ignored.
+        """
+        return codec(cls).decode(wire)
 
 
 class Job:

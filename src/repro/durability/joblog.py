@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Optional
 from repro._errors import JobError
 from repro.durability.journal import dumps_compact
 from repro.durability.store import DurabilityStore
+from repro.wire import dataclass_fields
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.job import Job
@@ -70,35 +71,15 @@ def _placement(p: dict) -> str:
     return "{" + ",".join(f"{_escape(k)}:{int(v)}" for k, v in p.items()) + "}"
 
 
-#: wire-key defaults as :meth:`JobRequest.from_wire` fills them — a journaled
-#: request drops every entry ``from_wire`` would restore anyway, which keeps
-#: the submit record (the largest per-job append) to a handful of keys.
-_WIRE_DEFAULTS = {
-    "name": "job",
-    "owner": "",
-    "kind": "sequential",
-    "argv": None,
-    "sim_duration": None,
-    "n_tasks": 1,
-    "cores_per_task": 1,
-    "memory_mb_per_task": 0,
-    "need_gpu": False,
-    "node_type": None,
-    "priority": 0,
-    "timeout_s": None,
-    "wallclock_timeout_s": None,
-    "est_runtime_s": None,
-    "after": [],
-    "after_ok": False,
-    "stdin_data": "",
-    "env": {},
-    "workdir": None,
-}
 _MISSING = object()
 
 
 def request_wire(request) -> dict:
-    """Sparse wire form of a request, degrading callables to a recoverable stub."""
+    """Sparse wire form of a request, degrading callables to a recoverable stub.
+
+    Fields at their declared defaults are dropped (``from_wire`` restores
+    them), which keeps the largest per-job record to a handful of keys.
+    """
     try:
         wire = request.to_wire()
     except JobError:
@@ -108,7 +89,7 @@ def request_wire(request) -> dict:
             "owner": request.owner,
             "kind": request.kind.value,
         }
-    defaults = _WIRE_DEFAULTS
+    defaults = dataclass_fields(type(request)).defaults
     return {k: v for k, v in wire.items() if defaults.get(k, _MISSING) != v}
 
 

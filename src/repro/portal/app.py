@@ -82,7 +82,7 @@ from repro._errors import (
 )
 from repro.bus.service import LocalCluster
 from repro.cluster.distributor import JobDistributor
-from repro.cluster.job import JobRequest, wire_strings, wire_typed
+from repro.cluster.job import JobRequest
 from repro.portal import templates
 from repro.portal.admission import (
     AdmissionController,
@@ -128,14 +128,6 @@ _ERROR_STATUS: list[tuple[type, int]] = [
     (PortalError, 400),
     (ReproError, 400),
 ]
-
-
-def _text(body: dict, key: str, default: Optional[str] = "") -> Optional[str]:
-    """A string field of a JSON body (``default`` when absent); 400 otherwise."""
-    value = body.get(key, default)
-    if value is not default and not isinstance(value, str):
-        raise HttpError(400, f"{key} must be a string")
-    return value
 
 
 class PortalApp:
@@ -395,9 +387,8 @@ class PortalApp:
             body["worker"] = self.worker_id
         return body
 
-    def _api_login(self, req: Request) -> Response:
-        body = req.json_object()
-        user = self.users.authenticate(_text(body, "username"), _text(body, "password"))
+    def _api_login(self, req: Request, *, username: str, password: str) -> Response:
+        user = self.users.authenticate(username, password)
         token = self.sessions.create({"username": user.username})
         resp = Response.json(self._with_worker(
             {"ok": True, "username": user.username, "role": user.role, "token": token}
@@ -414,53 +405,45 @@ class PortalApp:
             {"username": user.username, "role": user.role, "full_name": user.full_name}
         ))
 
-    def _api_create_user(self, req: Request) -> Response:
+    def _api_create_user(self, req: Request, *, username: str, password: str,
+                         role: str = "student", full_name: str = "") -> Response:
         admin = self._require_user(req)
         admin.require("manage_users")
-        body = req.json_object()
-        user = self.users.add_user(
-            _text(body, "username"),
-            _text(body, "password"),
-            role=_text(body, "role", "student"),
-            full_name=_text(body, "full_name"),
-        )
+        user = self.users.add_user(username, password, role=role, full_name=full_name)
         return Response.json({"ok": True, "username": user.username, "role": user.role}, status=201)
 
-    def _api_change_password(self, req: Request) -> Response:
+    def _api_change_password(self, req: Request, *, old: str, new: str) -> Response:
         user = self._require_user(req)
-        body = req.json_object()
-        self.users.change_password(user.username, _text(body, "old"), _text(body, "new"))
+        self.users.change_password(user.username, old, new)
         return Response.json({"ok": True})
 
     # -- job handlers (through the port) ------------------------------------------------
-    def _api_submit(self, req: Request) -> Response:
+    def _api_submit(
+        self, req: Request, *, path: str | None = None, language: str | None = None,
+        args: tuple[str, ...] = (), stdin: str | None = None, max_retries: int = 0, **spec,
+    ) -> Response:
         """Submit an argv job spec as it stands, or, given ``path``, compile
         that file from the user's home and run the artifact.
 
         Compile-and-run also takes ``language``, ``args``, ``stdin`` and
-        ``max_retries``.  Either body is validated by one
-        :meth:`JobRequest.from_wire` parse before anything compiles or
+        ``max_retries``.  The rest of the body is the job spec, validated by
+        one :meth:`JobRequest.from_wire` parse before anything compiles or
         crosses the bus.
         """
         user = self._require_user(req)
-        wire = dict(req.json_object())
-        wire["owner"] = user.username  # the session decides, not the body
-        path = _text(wire, "path", None)
-        language = _text(wire, "language", None)
+        spec["owner"] = user.username  # the session decides, not the body
+        if stdin is not None:
+            spec["stdin_data"] = stdin
+        if max_retries < 0:
+            raise HttpError(400, f"max_retries must be >= 0, got {max_retries}")
+        if max_retries:
+            spec["retry"] = {"max_attempts": max_retries + 1}
+        if path is not None:
+            # the artifact's argv replaces this placeholder
+            spec.update(argv=[], timeout_s=spec.get("timeout_s", 120.0))
         try:
-            args = tuple(wire_strings(wire, "args") or ())
-            if "stdin" in wire:
-                wire["stdin_data"] = wire.pop("stdin")
-            max_retries = wire_typed(wire, "max_retries", int, 0)
-            if max_retries < 0:
-                raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-            if max_retries:
-                wire["retry"] = {"max_attempts": max_retries + 1}
-            if path is not None:
-                # the artifact's argv replaces this placeholder
-                wire.update(argv=[], timeout_s=wire.get("timeout_s", 120.0))
-            request = JobRequest.from_wire(wire)
-        except (TypeError, ValueError, JobError) as exc:
+            request = JobRequest.from_wire(spec)
+        except (ValueError, JobError) as exc:
             raise HttpError(400, f"invalid job spec: {exc}") from None
         if path is None:
             return Response.json({"job": self.proxy.submit(request)}, status=201)
@@ -519,14 +502,9 @@ class PortalApp:
             ),
         )
 
-    def _api_job_input(self, req: Request) -> Response:
+    def _api_job_input(self, req: Request, *, text: str) -> Response:
         user = self._require_user(req)
-        self.proxy.send_input(
-            user.username,
-            req.params["job_id"],
-            _text(req.json_object(), "text"),
-            user.can("view_all_jobs"),
-        )
+        self.proxy.send_input(user.username, req.params["job_id"], text, user.can("view_all_jobs"))
         return Response.json({"ok": True})
 
     def _api_job_cancel(self, req: Request) -> Response:
@@ -619,27 +597,24 @@ class PortalApp:
             raise HttpError(400, "no files in upload")
         return Response.json({"ok": True, "saved": saved}, status=201)
 
-    def _api_mkdir(self, req: Request) -> Response:
+    def _api_mkdir(self, req: Request, *, path: str) -> Response:
         user = self._require_user(req)
-        self.files.mkdir(user.username, _text(req.json_object(), "path"))
+        self.files.mkdir(user.username, path)
         return Response.json({"ok": True}, status=201)
 
-    def _api_copy(self, req: Request) -> Response:
+    def _api_copy(self, req: Request, *, src: str, dst: str) -> Response:
         user = self._require_user(req)
-        body = req.json_object()
-        self.files.copy(user.username, _text(body, "src"), _text(body, "dst"))
+        self.files.copy(user.username, src, dst)
         return Response.json({"ok": True})
 
-    def _api_move(self, req: Request) -> Response:
+    def _api_move(self, req: Request, *, src: str, dst: str) -> Response:
         user = self._require_user(req)
-        body = req.json_object()
-        self.files.move(user.username, _text(body, "src"), _text(body, "dst"))
+        self.files.move(user.username, src, dst)
         return Response.json({"ok": True})
 
-    def _api_rename(self, req: Request) -> Response:
+    def _api_rename(self, req: Request, *, path: str, new_name: str) -> Response:
         user = self._require_user(req)
-        body = req.json_object()
-        new_path = self.files.rename(user.username, _text(body, "path"), _text(body, "new_name"))
+        new_path = self.files.rename(user.username, path, new_name)
         return Response.json({"ok": True, "path": new_path})
 
     def _api_delete_file(self, req: Request) -> Response:
@@ -657,13 +632,13 @@ class PortalApp:
         )
 
     # -- compile, lint, explore --------------------------------------------------
-    def _api_compile(self, req: Request) -> Response:
+    def _api_compile(self, req: Request, *, path: str, language: str | None = None) -> Response:
         user = self._require_user(req)
-        body = req.json_object()
-        report = self.jobsvc.compile(user, _text(body, "path"), _text(body, "language", None))
+        report = self.jobsvc.compile(user, path, language)
         return Response.json(report, status=200 if report["ok"] else 400)
 
-    def _api_lint(self, req: Request) -> Response:
+    def _api_lint(self, req: Request, *, source: str | None = None,
+                  path: str | None = None) -> Response:
         """Static concurrency analysis of a lab program.
 
         Accepts ``{path}`` (a Python file in the user's home) or
@@ -671,39 +646,28 @@ class PortalApp:
         advisory, the report itself says whether the program is clean.
         """
         user = self._require_user(req)
-        body = req.json_object()
-        if body.get("source") is not None:
-            report = self.jobsvc.lint_source(
-                str(body["source"]), str(body.get("path") or "<submission>")
-            )
+        if source is not None:
+            report = self.jobsvc.lint_source(source, path or "<submission>")
             return Response.json(report.as_dict())
-        report = self.jobsvc.lint(user, _text(body, "path"))
+        report = self.jobsvc.lint(user, path or "")
         if report is None:
             raise HttpError(400, "static analysis supports Python lab programs only")
         return Response.json(report.as_dict())
 
-    def _api_explore(self, req: Request) -> Response:
+    def _api_explore(
+        self, req: Request, *, lab: str, variant: str = "broken", algorithm: str = "dpor",
+        max_schedules: int = 2000, max_seconds: float = 30.0,
+    ) -> Response:
         """Submit a systematic schedule exploration of a named lab program.
 
-        Body: ``{lab, variant?, algorithm?, max_schedules?, max_seconds?}``.
         The exploration runs as a cluster job; poll
         ``GET /api/explore/<job_id>`` for the finished report.
         """
         user = self._require_user(req)
         user.require("submit_job")
-        body = req.json_object()
-        max_schedules, max_seconds = body.get("max_schedules", 2000), body.get("max_seconds", 30.0)
-        if type(max_schedules) is not int:
-            raise HttpError(400, "max_schedules must be an integer")
-        if max_seconds is not None and type(max_seconds) not in (int, float):
-            raise HttpError(400, "max_seconds must be a number or null")
         job = self.proxy.explore(
-            user.username,
-            _text(body, "lab"),
-            variant=_text(body, "variant", "broken"),
-            algorithm=_text(body, "algorithm", "dpor"),
-            max_schedules=max_schedules,
-            max_seconds=max_seconds,
+            user.username, lab, variant=variant, algorithm=algorithm,
+            max_schedules=max_schedules, max_seconds=max_seconds,
         )
         return Response.json({"job": job}, status=201)
 
@@ -736,22 +700,17 @@ class PortalApp:
         doc = body.get("spec", body) if isinstance(body, dict) else body
         return Response.json(validate_spec(doc, source="request").as_dict())
 
-    def _api_cluster_reconfigure(self, req: Request) -> Response:
+    def _api_cluster_reconfigure(self, req: Request, *, spec: dict,
+                                 apply: bool = False) -> Response:
         """Plan (default) or apply a reconfiguration to the live cluster.
 
-        Body: ``{"spec": doc, "apply": bool}``.  Plan-only returns the
-        classified action list; ``apply: true`` additionally executes it
-        (400 on an invalid document, 409 when the plan needs
-        destroy-recreate actions while jobs are live).
+        Plan-only returns the classified action list; ``apply: true``
+        additionally executes it (400 on an invalid document, 409 when the
+        plan needs destroy-recreate actions while jobs are live).
         """
         user = self._require_user(req)
         user.require("manage_cluster")
-        body = req.json_object()
-        doc = body.get("spec")
-        if not isinstance(doc, dict):
-            raise HttpError(400, 'body must carry {"spec": {...}}')
-        apply = bool(body.get("apply", False))
-        result = self.proxy.spec_reconfigure(doc, apply, manage=True)
+        result = self.proxy.spec_reconfigure(spec, apply, manage=True)
         if result.get("ok") is False:
             return Response.json(result, status=400 if result["findings"] else 409)
         if apply:
@@ -847,7 +806,7 @@ class PortalApp:
         if req.user is None:
             return Response.redirect("/login")
         job_id = req.params["job_id"]
-        text = _text(req.form(), "text")
+        text = req.form().get("text", "")
         if text:
             self.proxy.send_input(
                 req.user.username, job_id, text + "\n", req.user.can("view_all_jobs")

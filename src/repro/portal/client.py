@@ -277,7 +277,7 @@ class PortalClient:
         variant: str = "broken",
         algorithm: str = "dpor",
         max_schedules: int = 2000,
-        max_seconds: float | None = 30.0,
+        max_seconds: float = 30.0,
     ) -> dict:
         """Submit a schedule exploration job; returns the job description."""
         return self._call(

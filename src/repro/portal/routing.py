@@ -20,14 +20,22 @@ Dispatch is tiered, compiled once at registration time:
 405 semantics: ``allowed`` methods are computed only after both tiers
 miss for the request method, so a method mismatch in one tier can never
 shadow a genuine match in the other.
+
+A handler declares its JSON body's fields as annotated keyword-only
+parameters (``def rename(req, *, path: str, new_name: str)``), checked by
+a :class:`~repro.wire.Fields` codec built at :meth:`Router.add`: a body
+that is not an object, a missing field or a wrongly typed one answers
+400.  Other keys are ignored, or passed to a ``**rest`` parameter.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 from typing import Callable, Optional
 
 from repro.portal.http import HttpError, Request, Response
+from repro.wire import Fields
 
 __all__ = ["Router"]
 
@@ -84,6 +92,26 @@ class _Route:
         return params
 
 
+def _with_body(handler: Callable[..., Response]) -> Handler:
+    """``handler``, called with its keyword-only parameters from the JSON body."""
+    params = inspect.signature(handler).parameters.values()
+    body = Fields.of_parameters(handler, [p for p in params if p.kind is p.KEYWORD_ONLY])
+    if not body.names:
+        return handler
+    rest = any(p.kind is p.VAR_KEYWORD for p in params)
+
+    def checked(request: Request) -> Response:
+        data = request.json_object()
+        try:
+            fields = body.decode(data)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        extra = {k: v for k, v in data.items() if k not in body.names} if rest else {}
+        return handler(request, **extra, **fields)
+
+    return checked
+
+
 class Router:
     """Method+path dispatch table with tiered, pre-indexed matching."""
 
@@ -111,7 +139,7 @@ class Router:
         method = method.upper()
         if method in route.methods:
             raise ValueError(f"duplicate route {method} {pattern}")
-        route.methods[method] = handler
+        route.methods[method] = _with_body(handler)
 
     def route(self, method: str, pattern: str):
         """Decorator flavour of :meth:`add`."""

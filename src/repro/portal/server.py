@@ -20,14 +20,16 @@ HTTP/1.1 (``http.client``, browsers) read to the close.
   out in one buffer together with the first body chunk, which for every
   non-streamed response is the whole body; later chunks of a streamed
   download are written one by one.
-* **Deferred work runs after the reply.**  Each request runs inside a
-  :class:`~repro._reply.ReplyScope`, so work the app hands to
-  :func:`~repro._reply.after_reply` (a submission's dispatch round and
-  launch) runs on the request's worker once the response is sent and the
-  socket closed, before the worker parks.  The client is not kept
-  waiting for it: the worker first yields its CPU, so the client the
-  close woke runs before the deferred work.  A callback that raises
-  goes to ``handle_error`` without skipping the callbacks after it.
+* **Deferred work runs after the reply.**  Each worker thread holds one
+  :class:`~repro._reply.ReplyScope` and drains it after every request,
+  so work the app hands to :func:`~repro._reply.after_reply` (a
+  submission's dispatch round and launch) runs on the request's worker
+  once the response is sent and the socket closed, before the worker
+  parks; a request that defers nothing pays nothing for it.  The client
+  is not kept waiting for the work: the worker first yields its CPU, so
+  the client the close woke runs before the deferred work.  A callback
+  that raises goes to ``handle_error`` without skipping the callbacks
+  after it.
 
 The server subclasses :class:`socketserver.TCPServer` and keeps its
 hook methods: ``process_request`` runs on the accept thread, and
@@ -184,18 +186,20 @@ class _PortalServer(TCPServer):
         worker.thread.start()
 
     def _work(self, worker: _Worker, request, client_address) -> None:
-        while True:
-            with ReplyScope(lambda: self.handle_error(request, client_address)):
+        scope = ReplyScope(lambda: self.handle_error(request, client_address))
+        with scope:
+            while True:
                 self.process_request_thread(request, client_address)
-            request = client_address = None
-            with self._lock:
-                if self._closed:
+                scope.drain()
+                request = client_address = None
+                with self._lock:
+                    if self._closed:
+                        return
+                    self._parked.append(worker)
+                worker.wake.acquire()
+                if worker.job is None:
                     return
-                self._parked.append(worker)
-            worker.wake.acquire()
-            if worker.job is None:
-                return
-            (request, client_address), worker.job = worker.job, None
+                (request, client_address), worker.job = worker.job, None
 
     def process_request_thread(self, request, client_address) -> None:
         """Serve one connection on its worker, then close it."""

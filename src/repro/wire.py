@@ -1,0 +1,188 @@
+"""One typed wire codec, read from the declarations.
+
+Values cross the portal's boundaries (a port RPC, an HTTP JSON body, a
+journal record) as JSON.  :func:`codec` builds, once per type hint, the
+check that takes that JSON in and the encoder that puts a value back:
+``str``, ``int`` (never a ``bool``), ``bool``, ``float`` (an ``int``
+passes), ``dict``, ``dict[str, str]``, ``list[str]``, ``tuple[str, ...]``,
+``frozenset[str]`` (sent sorted), an ``Enum`` by value, a dataclass by its
+fields, and ``X | None``.  A ``Callable`` has no wire form.
+
+:class:`Fields` checks an object against a declaration: a dataclass's
+fields or a function's parameters.  One null rule holds everywhere: a
+``null`` field is absent, an absent field takes its declared default,
+and a required field that is absent is refused.  Keys the declaration
+does not name are left to the caller.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import functools
+import inspect
+from collections.abc import Callable as CallableABC
+from types import NoneType, UnionType
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
+from typing import get_args, get_origin, get_type_hints
+
+__all__ = ["REQUIRED", "Codec", "Fields", "WireError", "codec", "dataclass_fields"]
+
+#: the default of a field that must be present
+REQUIRED = inspect.Parameter.empty
+
+
+class WireError(ValueError):
+    """A wire value that does not fit its declaration; the message names it."""
+
+    def __init__(self, problem: str, path: str = "") -> None:
+        super().__init__(f"{path} {problem}" if path else problem)
+        self.problem, self.path = problem, path
+
+    def under(self, name: str) -> "WireError":
+        """The same error, seen from the object holding field ``name``."""
+        sep = "." if self.path and not self.path.startswith("[") else ""
+        return WireError(self.problem, f"{name}{sep}{self.path}")
+
+
+class Codec(NamedTuple):
+    """``decode`` checks and converts a JSON value; ``encode`` goes back
+    (``None``: the value is its own wire form)."""
+
+    decode: Callable[[Any], Any]
+    encode: Optional[Callable[[Any], Any]]
+
+
+def _got(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _checked(types: tuple, expected: str, convert: Optional[Callable] = None) -> Callable:
+    def decode(value: Any) -> Any:
+        if type(value) not in types:
+            raise WireError(f"must be {expected}, got {_got(value)}")
+        return value if convert is None else convert(value)
+
+    return decode
+
+
+def _strings(kind: type, pairs: Callable) -> Callable:
+    """A converter to ``kind`` that checks every value of ``pairs(value)`` is a str."""
+
+    def convert(value: Any) -> Any:
+        for key, v in pairs(value):
+            if type(v) is not str:
+                raise WireError(f"must be str, got {_got(v)}", f"[{key!r}]")
+        return kind(value)
+
+    return convert
+
+
+def _no_wire_form(value: Any) -> Any:
+    raise WireError("has no wire form")
+
+
+_LEAVES = {str: (str,), int: (int,), bool: (bool,), float: (int, float), dict: (dict,)}
+
+
+@functools.cache
+def codec(hint: Any) -> Codec:
+    """The codec of a type hint; :class:`TypeError` for one with no wire form."""
+    if hint in _LEAVES:
+        return Codec(_checked(_LEAVES[hint], hint.__name__), None)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
+        return codec(args[0] if args[1] is NoneType else args[1])  # the null rule
+    if origin is CallableABC:
+        return Codec(_no_wire_form, _no_wire_form)
+    if (origin, args) in ((list, (str,)), (tuple, (str, Ellipsis)), (frozenset, (str,))):
+        return Codec(_checked((list,), "list", _strings(origin, enumerate)),
+                     sorted if origin is frozenset else list)
+    if origin is dict and args == (str, str):
+        return Codec(_checked((dict,), "dict", _strings(dict, dict.items)), dict)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        members = {m.value: m for m in hint}
+        types = tuple({type(v) for v in members})
+
+        def member(value: Any) -> enum.Enum:
+            if type(value) in types and value in members:
+                return members[value]
+            raise WireError(f"must be one of {', '.join(map(repr, members))}, got {value!r}")
+
+        return Codec(member, lambda m: m.value)
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        fields = dataclass_fields(hint)
+        return Codec(_checked((dict,), "dict", lambda v: hint(**fields.decode(v))),
+                     fields.encode_object)
+    raise TypeError(f"no wire form for {hint!r}")
+
+
+class Fields:
+    """A declaration's fields: ``(name, hint, default)`` each, in order, with
+    :data:`REQUIRED` as the default of a required field."""
+
+    def __init__(self, declared: Iterable[tuple[str, Any, Any]]) -> None:
+        self._decoders, encoders = [], []
+        #: each optional field's default, in wire form
+        self.defaults: dict[str, Any] = {}
+        for name, hint, default in declared:
+            decode, encode = codec(hint)
+            if get_origin(hint) in (Union, UnionType) and default is not None:
+                # null means "absent", so no wire value could reach None
+                raise TypeError(f"{name}: a nullable field must default to None")
+            self._decoders.append((name, decode, default is REQUIRED))
+            if encode is not None:
+                encoders.append((name, encode))
+            if default is not REQUIRED:
+                wire_default = encode(default) if encode and default is not None else default
+                self.defaults[name] = wire_default
+        self._encoders = tuple(encoders)
+        #: field names, in declaration order
+        self.names = tuple(name for name, _, _ in self._decoders)
+        #: the fields that must be present
+        self.required = tuple(name for name, _, required in self._decoders if required)
+
+    @classmethod
+    def of_parameters(cls, fn: Callable, params: Iterable[inspect.Parameter]) -> "Fields":
+        hints = get_type_hints(fn)
+        return cls((p.name, hints[p.name], p.default) for p in params)
+
+    def decode(self, data: dict) -> dict:
+        """The declared fields of ``data``, checked and converted; absent and
+        null fields are left out, so the declaration's defaults apply."""
+        out = {}
+        for name, decode, required in self._decoders:
+            value = data.get(name)
+            if value is not None:
+                try:
+                    out[name] = decode(value)
+                except WireError as exc:
+                    raise exc.under(name) from None
+            elif required:
+                raise WireError("is required", name)
+        return out
+
+    def encode(self, values: dict) -> dict:
+        """``values`` with each non-null field in its wire form (in place)."""
+        for name, encode in self._encoders:
+            value = values.get(name)
+            if value is not None:
+                values[name] = encode(value)
+        return values
+
+    def encode_object(self, obj: Any) -> dict:
+        """Every field of ``obj``, in declaration order, in wire form."""
+        return self.encode({name: getattr(obj, name) for name in self.names})
+
+
+@functools.cache
+def dataclass_fields(cls: type) -> Fields:
+    """The :class:`Fields` of a dataclass's ``__init__`` fields."""
+    hints = get_type_hints(cls)
+    return Fields((f.name, hints[f.name], _default(f)) for f in dataclasses.fields(cls) if f.init)
+
+
+def _default(f: dataclasses.Field) -> Any:
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return REQUIRED if f.default is dataclasses.MISSING else f.default

@@ -481,7 +481,7 @@ class TestPortWireChecks:
         hints = typing.get_type_hints(call.function)
         valid = {name: _wire_values(hints[name])[0] for name in call.names}
         bad = [("unknown", {**valid, "bogus": 1})]
-        required = [name for name, _check, req in call.params if req]
+        required = call.fields.required
         if required:
             bad.append(("missing", {k: v for k, v in valid.items() if k != required[0]}))
         bad += [

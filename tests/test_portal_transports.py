@@ -34,6 +34,9 @@ _VOLATILE = {
     "core_seconds", "elapsed_s",
 }
 
+#: stands for the deployment's live spec document in a request body
+_LIVE_SPEC = "<live spec>"
+
 #: a C program both deployments can compile (gcc, else the simulated toolchain)
 _HELLO_C = b'#include <stdio.h>\nint main(void) { puts("hi"); return 0; }\n'
 
@@ -402,11 +405,16 @@ class TestEachTransport:
             ("POST", "/api/password", {"old": 5, "new": "new-pass"}),
             ("POST", "/api/login", {"username": 5, "password": "admin-pass"}),
             ("POST", "/api/explore", {"lab": 5}),
+            ("POST", "/api/cluster/reconfigure", {"spec": _LIVE_SPEC, "apply": "false"}),
+            ("POST", "/api/lint", {"source": 5}),
+            ("POST", "/api/lint", {"source": ["import threading"]}),
         ],
     )
     def test_wrongly_typed_fields_answer_400(self, deployment, method, path, body):
         deployment.app.files.write("admin", "hello.c", _HELLO_C)
         token = deployment.login("admin", "admin-pass")
+        if body and body.get("spec") is _LIVE_SPEC:
+            body = {**body, "spec": deployment.port.spec_describe()}
         status, _, answer = deployment.call(method, path, body, token)
         assert status == 400, answer
         assert deployment.dist.jobs == {}, "nothing may be submitted"
