@@ -13,9 +13,11 @@ Three interchangeable backends behind one interface:
   :class:`~repro.desim.kernel.Simulator`.  Used for scheduling studies
   where thousands of jobs must flow through the queue in milliseconds.
 
-A backend's ``launch`` returns an :class:`ExecutionHandle`; completion is
-reported through the handle's callback, which the distributor uses to
-free resources.
+A backend's ``launch`` returns an :class:`ExecutionHandle`.  The backend
+only reports what happened (:meth:`ExecutionHandle.finish`); it changes
+no job state and closes no job stream.  The distributor reads the report
+in the handle's completion callback, frees the resources and settles the
+job: another attempt, or the seal.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import partial
 from typing import Callable
 
 from repro._errors import JobError
-from repro.cluster.job import Job, JobKind, JobState
+from repro.cluster.job import Job, JobKind
 from repro.desim.kernel import Simulator
 
 #: A cancel kills the ranks this long after rank 0 got its queued input and EOF.
@@ -46,21 +48,25 @@ __all__ = [
 
 
 class ExecutionHandle:
-    """Running-job control: cancellation + completion signalling.
+    """One attempt's control and its reported result.
 
-    ``epoch`` snapshots the job's attempt generation at launch.  When the
-    distributor retires an attempt early (node death, enforced timeout)
-    and later relaunches the job, this handle's eventual completion
-    carries a stale epoch and :func:`_finish` ignores it — the zombie
-    attempt can neither change the job's state nor close its streams.
+    A backend calls :meth:`finish` once with the attempt's raw result:
+    ``exit_code``, ``error`` (``"timeout"`` when the backend enforced the
+    job's ``timeout_s``) and ``cancelled`` (a cancel had been requested).
+    The completion callbacks then run with the handle.  An attempt the
+    distributor already retired (node death, enforced timeout) is no
+    longer its live handle, so that late report settles nothing.
     """
 
     def __init__(self, job: Job) -> None:
         self.job = job
-        self.epoch = getattr(job, "attempt_epoch", 0)
+        self.exit_code: int | None = None
+        self.error: str | None = None
+        self.cancelled = False
         self._cancel = threading.Event()
         self._done = threading.Event()
-        self._on_done: list[Callable[[Job], None]] = []
+        self._lock = threading.Lock()
+        self._on_done: list[Callable[[ExecutionHandle], None]] = []
 
     def request_cancel(self) -> None:
         """Ask the execution to stop (best effort)."""
@@ -70,18 +76,26 @@ class ExecutionHandle:
     def cancel_requested(self) -> bool:
         return self._cancel.is_set()
 
-    def on_done(self, cb: Callable[[Job], None]) -> None:
+    def on_done(self, cb: Callable[[ExecutionHandle], None]) -> None:
         """Register a completion callback (fires immediately if done)."""
-        if self._done.is_set():
-            cb(self.job)
-        else:
-            self._on_done.append(cb)
+        with self._lock:
+            if not self._done.is_set():
+                self._on_done.append(cb)
+                return
+        cb(self)
+
+    def finish(self, exit_code: int, error: str | None = None) -> None:
+        """Report the attempt's result, then run the completion callbacks."""
+        self.exit_code, self.error = exit_code, error
+        self.cancelled = self.cancel_requested
+        self._mark_done()
 
     def _mark_done(self) -> None:
-        self._done.set()
-        for cb in self._on_done:
-            cb(self.job)
-        self._on_done.clear()
+        with self._lock:
+            self._done.set()
+            callbacks, self._on_done = self._on_done, []
+        for cb in callbacks:
+            cb(self)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the execution finished; returns success."""
@@ -96,44 +110,6 @@ class ExecutionBackend:
         raise NotImplementedError
 
 
-def _finish(job: Job, handle: ExecutionHandle, exit_code: int, error: str | None = None) -> None:
-    """Common completion path used by the real backends.
-
-    A completion from a superseded attempt (the distributor already
-    killed it and possibly relaunched the job) is dropped entirely.  For
-    a live attempt that failed or timed out, the job's ``retry_gate`` —
-    installed by the distributor — may convert the would-be terminal
-    state into RETRYING; streams then stay open for the next attempt.
-    """
-    if handle.epoch != getattr(job, "attempt_epoch", 0) or job.state is not JobState.RUNNING:
-        # A stale attempt, or one the fault path (node death or enforced
-        # timeout) already resolved: observers unblock, the job is untouched.
-        handle._mark_done()
-        return
-    job.exit_code = exit_code
-    job.error = error
-    if handle.cancel_requested:
-        outcome = JobState.CANCELLED
-    elif error == "timeout":
-        outcome = JobState.TIMEOUT
-    elif exit_code == 0:
-        outcome = JobState.COMPLETED
-    else:
-        outcome = JobState.FAILED
-    retrying = (
-        outcome in (JobState.FAILED, JobState.TIMEOUT)
-        and job.retry_gate is not None
-        and job.retry_gate(job, outcome)
-    )
-    if retrying:
-        job.try_transition(JobState.RETRYING)
-    else:
-        job.stdout.close()
-        job.stderr.close()
-        job.try_transition(outcome)
-    handle._mark_done()
-
-
 class _Run(ExecutionHandle):
     """One subprocess attempt: its handle, and its ranks' state in the I/O loop."""
 
@@ -142,7 +118,7 @@ class _Run(ExecutionHandle):
         self.wake, self.procs, self.pipes = wake, [], []  # pipes: (file, capture, prefix)
         self.stdin, self.inbuf = None, b""  # rank 0's stdin; input it has not taken yet
         self.deadline = time.monotonic() + (job.request.timeout_s or math.inf)
-        self.killed, self.failure = False, None  # failure: (exit code, error) to seal with
+        self.killed, self.failure = False, None  # failure: (exit code, error) to report
 
     def request_cancel(self) -> None:
         super().request_cancel()
@@ -164,7 +140,7 @@ class SubprocessBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pending: list[_Run] = []  # launched, not yet spawned
-        self._runs: set[_Run] = set()  # spawned, not yet sealed
+        self._runs: set[_Run] = set()  # spawned, not yet reported
         self._partial: dict = {}  # pipe file -> its unfinished last line
         self._wake_fd: int | None = None  # the loop's self-pipe (an eventfd) while it runs
 
@@ -242,7 +218,7 @@ class SubprocessBackend(ExecutionBackend):
         except Exception as exc:  # noqa: BLE001 - a bad argv fails its job, not the loop
             run.failure, run.deadline = (127, f"launch failed: {exc}"), 0.0
         self._runs.add(run)
-        self._reap(run)  # seals at once when no rank started
+        self._reap(run)  # reports at once when no rank started
 
     def _read(self, file, capture, prefix: str, final: bool = False) -> None:
         """Move what ``file`` holds into ``capture``; close it at EOF, or once dry if ``final``."""
@@ -288,7 +264,7 @@ class SubprocessBackend(ExecutionBackend):
         file.close()
 
     def _reap(self, run: _Run, proc: subprocess.Popen | None = None, pidfd: int = -1) -> None:
-        """Collect a rank's exit; once every rank is in, drain the pipes and seal."""
+        """Collect a rank's exit; once every rank is in, drain the pipes and report."""
         if proc is not None:
             self._sel.unregister(pidfd)
             os.close(pidfd)
@@ -300,10 +276,9 @@ class SubprocessBackend(ExecutionBackend):
             while not file.closed:
                 self._read(file, capture, prefix, final=True)
         if run.stdin is not None and not run.stdin.closed:
-            self._drop(run.stdin)
-        run.job.stdin.close()
+            self._drop(run.stdin)  # the job's channel stays open for a retry
         code = next((p.returncode for p in run.procs if p.returncode), 0)
-        _finish(run.job, run, *(run.failure or (code, None)))
+        run.finish(*(run.failure or (code, None)))
 
 
 class CallableBackend(ExecutionBackend):
@@ -335,10 +310,10 @@ class CallableBackend(ExecutionBackend):
                 )
             else:
                 job.result = fn(job)
-            _finish(job, handle, exit_code=0)
+            handle.finish(0)
         except BaseException as exc:  # noqa: BLE001 - user code
             job.stderr.write_text(f"{type(exc).__name__}: {exc}")
-            _finish(job, handle, exit_code=1, error=str(exc))
+            handle.finish(1, str(exc))
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -360,11 +335,11 @@ class SimulatedBackend(ExecutionBackend):
         ev = self.sim.timeout(float(job.request.sim_duration))
 
         def complete(_ev) -> None:
-            if handle.cancel_requested or handle.epoch != job.attempt_epoch:
-                _finish(job, handle, exit_code=-1)
+            if handle.cancel_requested:
+                handle.finish(-1)
             else:
                 job.stdout.write_line(f"simulated job {job.id} ran {job.request.sim_duration}s")
-                _finish(job, handle, exit_code=0)
+                handle.finish(0)
 
         self.sim._subscribe(ev, complete)
         return handle

@@ -82,7 +82,6 @@ from repro.cluster.monitor import ClusterMonitor, HealthMonitor, HealthPolicy
 from repro.cluster.node import NodeState
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import (
-    Allocation,
     CapacityView,
     FIFOScheduler,
     RunningEstimates,
@@ -96,6 +95,16 @@ __all__ = ["JobDistributor"]
 #: delay before a dispatch round that raised is tried again (seconds, in
 #: ``now_fn`` time): the jobs it left queued may have been acknowledged.
 _REDISPATCH_S = 0.05
+
+#: the terminal state of a job whose last attempt ended as each outcome
+#: when it gets no further attempt
+_SEALED_AS = {
+    "completed": JobState.COMPLETED,
+    "failed": JobState.FAILED,
+    "cancelled": JobState.CANCELLED,
+    "timeout": JobState.TIMEOUT,
+    "node_lost": JobState.FAILED,
+}
 
 
 class JobDistributor:
@@ -243,7 +252,6 @@ class JobDistributor:
             self.jobs[job.id] = job
             self._version += 1
             job.submitted_at = self.now_fn()
-            job.retry_gate = self._retry_gate
             job.transition(JobState.QUEUED)
             if self.journal is not None:
                 self.journal.record_submit(job)
@@ -350,12 +358,7 @@ class JobDistributor:
                     if state == "ready":
                         self.queue.push(job)
                     else:  # doomed
-                        job.error = "dependency failed"
-                        job.try_transition(JobState.CANCELLED)
-                        job.finished_at = self.now_fn()
-                        if self.journal is not None:
-                            self.journal.record_seal(job)
-                        self.monitor.record_job(job)
+                        self._seal(job, JobState.CANCELLED, "dependency failed")
             # Jobs still serving their retry backoff are invisible to the
             # policy; a wake-up is armed for the earliest one instead.
             eligible, next_ready = ready_for_dispatch(self.queue.snapshot(), now)
@@ -371,23 +374,12 @@ class JobDistributor:
             for job, alloc in picks:
                 if not self.queue.remove(job):
                     continue  # raced with a cancel
-                try:
-                    self._reserve(job, alloc)
-                except Exception:
+                if self._start(job, alloc.as_dict()):
+                    started += 1
+                else:
                     # Placement raced with a node failure: requeue (the
                     # ordered queue restores its original position).
                     self.queue.push(job)
-                    continue
-                job.transition(JobState.RUNNING)
-                job.started_at = self.now_fn()
-                self._register_running(job)
-                tel.job_started(job)
-                if self.journal is not None:
-                    self.journal.record_start(job)
-                handle = self._backend_for(job).launch(job)
-                self._handles[job.id] = handle
-                handle.on_done(lambda j, h=handle: self._attempt_done(j, h))
-                started += 1
             self._counters["jobs_started"] += started
             self._version += started
             self.monitor.sample(
@@ -399,10 +391,17 @@ class JobDistributor:
             tel.h_round.observe(time.perf_counter() - t0)
         return started
 
-    def _reserve(self, job: Job, alloc: Allocation) -> None:
+    def _start(self, job: Job, placement: dict[str, int], resume: bool = False) -> bool:
+        """Reserve ``placement`` for ``job`` and launch it there (lock held).
+
+        A new attempt goes RUNNING under the next epoch and is journaled
+        before its launch; ``resume`` relaunches the attempt a crash left
+        in flight, under its journaled epoch.  Returns False, holding
+        nothing, when a node refuses the reservation.
+        """
         done: list[str] = []
         try:
-            for node_name, cores in alloc.placement:
+            for node_name, cores in placement.items():
                 self.grid.node(node_name).allocate(
                     job.id, cores,
                     memory_mb=job.request.memory_mb_per_task * (cores // job.request.cores_per_task),
@@ -411,18 +410,25 @@ class JobDistributor:
         except Exception:
             for node_name in done:
                 self.grid.node(node_name).free(job.id)
-            raise
-        job.placement = alloc.as_dict()
-
-    def _register_running(self, job: Job) -> None:
-        """Track a just-started job in the O(active) running structures.
-
-        Also opens the job's next attempt: the epoch bump (snapshotted by
-        the handle the backend is about to create) and the run-time
-        deadline for this attempt, when the request carries one.
-        """
-        job.attempt_epoch += 1
+            return False
+        job.placement = placement
+        if not resume:
+            job.transition(JobState.RUNNING)
+            job.started_at = self.now_fn()
+            self._open_attempt(job)
+            self.telemetry.job_started(job)
+            if self.journal is not None:
+                self.journal.record_start(job)
         self._running[job.id] = job
+        handle = self._backend_for(job).launch(job)
+        self._handles[job.id] = handle
+        handle.on_done(self._attempt_done)
+        return True
+
+    def _open_attempt(self, job: Job) -> None:
+        """Open the job's next attempt: the epoch bump, the run-time deadline
+        when the request carries one, and the end estimate backfill reads."""
+        job.attempt_epoch += 1
         if job.request.timeout_s is not None:
             self._push_deadline(
                 job.started_at + job.request.timeout_s, "run", job.id, job.attempt_epoch
@@ -451,30 +457,44 @@ class JobDistributor:
             return RunningEstimates(self._run_ends)
 
     # -- completion -----------------------------------------------------------
-    def _attempt_done(self, job: Job, handle: ExecutionHandle) -> None:
-        """Backend callback: one attempt finished (normally or not).
+    def _attempt_done(self, handle: ExecutionHandle) -> None:
+        """Backend callback: an attempt reported its result; settle it.
 
-        A callback whose handle the distributor already retired (node
-        death or enforced timeout popped it) is a zombie and is dropped;
-        the fault path that retired it did all the bookkeeping.
+        A handle the distributor already retired (node death or an
+        enforced timeout popped it) settles nothing: the fault path that
+        retired it ended the attempt.
         """
+        job = handle.job
         with self._lock:
             if self._handles.get(job.id) is not handle:
                 return  # superseded attempt
             del self._handles[job.id]
-            if job.state is JobState.RETRYING:
-                # The retry gate rerouted a FAILED/TIMEOUT outcome here.
-                failure_class = "timeout" if job.error == "timeout" else "failed"
-                if failure_class == "timeout":
-                    self._faults["timeouts"] += 1
-                self._finish_attempt(job, failure_class, job.error)
-                self._requeue(job, failure_class)
+            job.exit_code = handle.exit_code
+            if handle.cancelled:
+                outcome = "cancelled"
+            elif handle.error == "timeout":
+                outcome = "timeout"
+                self._faults["timeouts"] += 1
             else:
-                if job.state is JobState.TIMEOUT:
-                    self._faults["timeouts"] += 1
-                self._finish_attempt(job, job.state.value, job.error)
-                self._seal(job)
+                outcome = "completed" if handle.exit_code == 0 else "failed"
+            self._end_attempt(job, outcome, handle.error)
         self.dispatch()
+
+    def _end_attempt(self, job: Job, outcome: str, error: Optional[str]) -> bool:
+        """Close ``job``'s live attempt as ``outcome`` and settle the job
+        (lock held); True when it was requeued for another attempt."""
+        self._finish_attempt(job, outcome, error)
+        return self._settle(job, outcome, error)
+
+    def _settle(self, job: Job, outcome: str, error: Optional[str]) -> bool:
+        """Retry or seal a job whose last attempt ended as ``outcome``
+        (lock held); True when it was requeued for another attempt."""
+        if self._should_retry(job, outcome):
+            job.transition(JobState.RETRYING)
+            self._requeue(job, outcome)
+            return True
+        self._seal(job, _SEALED_AS[outcome], error)
+        return False
 
     def _finish_attempt(self, job: Job, outcome: str, error: Optional[str]) -> None:
         """Free the attempt's resources and record it on the lineage (lock held).
@@ -545,32 +565,37 @@ class JobDistributor:
         if delay > 0:
             self._arm_timer(job.not_before)
 
-    def _seal(self, job: Job) -> None:
-        """Final accounting once a job reaches a terminal state (lock held)."""
-        if job.finished_at is None:
-            job.finished_at = self.now_fn()
+    def _seal(self, job: Job, state: JobState, error: Optional[str]) -> None:
+        """Move ``job`` to the terminal ``state`` and account for it (lock held).
+
+        The streams close before the transition, so whoever sees a
+        terminal state sees closed streams; then the finish time, the
+        journal seal, the accounting record, and a wake-up for dependents
+        and :meth:`wait_all`.
+        """
+        job.stdout.close()
+        job.stderr.close()
+        job.stdin.close()
+        job.error = error
+        job.transition(state)
+        job.finished_at = self.now_fn()
         if self.journal is not None:
             self.journal.record_seal(job)
         self.monitor.record_job(job)
         self._version += 1
+        self._dirty = True
         self._idle.notify_all()
 
     # -- retry decisions --------------------------------------------------------
-    def _retry_gate(self, job: Job, outcome: JobState) -> bool:
-        """Installed on every job; the backend asks before sealing
-        FAILED/TIMEOUT whether the distributor wants another attempt."""
-        failure_class = "timeout" if outcome is JobState.TIMEOUT else "failed"
-        with self._lock:
-            return self._should_retry(job, failure_class, self.now_fn())
-
-    def _should_retry(self, job: Job, failure_class: str, now: float) -> bool:
+    def _should_retry(self, job: Job, failure_class: str) -> bool:
         """One more attempt allowed? Policy budget and wall budget (lock held)."""
         policy = job.request.retry or self.retry
         if policy is None or not policy.should_retry(failure_class, job.attempt_epoch):
             return False
         wall = job.request.wallclock_timeout_s
         if wall is not None and job.submitted_at is not None:
-            if now - job.submitted_at >= wall:
+            # the same sum the wall deadline is queued at
+            if self.now_fn() >= job.submitted_at + wall:
                 return False
         return True
 
@@ -598,12 +623,8 @@ class JobDistributor:
                 # Wall budget expired while waiting (or backing off).
                 self.queue.remove(job)
                 self._held.pop(job.id, None)
-                job.error = "wallclock timeout"
-                job.transition(JobState.TIMEOUT)
-                job.stdout.close()
-                job.stderr.close()
                 self._faults["wall_timeouts"] += 1
-                self._seal(job)
+                self._seal(job, JobState.TIMEOUT, "wallclock timeout")
             elif job.state is JobState.RUNNING:
                 self._timeout_running(job, wall=True)
         if self._deadlines:
@@ -612,28 +633,18 @@ class JobDistributor:
 
     def _timeout_running(self, job: Job, wall: bool) -> None:
         """Kill a RUNNING attempt whose deadline passed (lock held)."""
-        handle = self._handles.pop(job.id, None)
-        label = "wallclock timeout" if wall else "timeout"
+        handle = self._handles.pop(job.id)
         self._faults["wall_timeouts" if wall else "timeouts"] += 1
-        self._finish_attempt(job, "timeout", label)
-        if not wall and self._should_retry(job, "timeout", self.now_fn()):
-            job.transition(JobState.RETRYING)
-            self._requeue(job, "timeout")
-        else:
-            job.error = label
-            job.transition(JobState.TIMEOUT)
-            job.stdout.close()
-            job.stderr.close()
-            self._seal(job)
-        if handle is not None:  # only now, as in fail_node
-            handle.request_cancel()  # its eventual callback is now a zombie
+        # past the wall budget _should_retry says no: a wall timeout seals
+        self._end_attempt(job, "timeout", "wallclock timeout" if wall else "timeout")
+        handle.request_cancel()  # its eventual report is now a zombie
 
     # -- node fault API ---------------------------------------------------------
     def fail_node(self, node_name: str) -> list[Job]:
         """Take a node out of service, rerouting or failing its jobs.
 
-        The node's running attempts are retired immediately (their
-        eventual backend callbacks become zombies); each orphaned job is
+        The node's running attempts are ended at once as ``node_lost``
+        (their eventual backend reports settle nothing); each orphaned job is
         requeued onto surviving capacity when its retry budget allows the
         ``node_lost`` class, and sealed FAILED otherwise.  Returns the
         rerouted jobs.
@@ -658,27 +669,14 @@ class JobDistributor:
                     "error", "node_failed", node=node_name, victims=len(victims)
                 )
             for job_id in victims:
-                job = self.jobs.get(job_id)
-                if job is None:
-                    continue
                 handle = self._handles.pop(job_id, None)
-                if job.state is JobState.RUNNING:  # else it finished concurrently
-                    self._faults["jobs_orphaned"] += 1
-                    self._finish_attempt(job, "node_lost", f"node {node_name} failed")
-                    if self._should_retry(job, "node_lost", now):
-                        job.transition(JobState.RETRYING)
-                        self._requeue(job, "node_lost")
-                        rerouted.append(job)
-                    else:
-                        job.error = f"node {node_name} failed"
-                        job.transition(JobState.FAILED)
-                        job.stdout.close()
-                        job.stderr.close()
-                        self._seal(job)
-                if handle is not None:
-                    # Only once the job left RUNNING: the backend seals an
-                    # attempt it never spawned at once, on its own thread.
-                    handle.request_cancel()  # its eventual callback is now a zombie
+                if handle is None:
+                    continue
+                job = handle.job
+                self._faults["jobs_orphaned"] += 1
+                if self._end_attempt(job, "node_lost", f"node {node_name} failed"):
+                    rerouted.append(job)
+                handle.request_cancel()  # its eventual report is now a zombie
         self.dispatch()
         return rerouted
 
@@ -885,21 +883,16 @@ class JobDistributor:
                 raise JobError(f"unknown job {job_id!r}")
             if job.terminal:
                 return False
-            if job.state in (JobState.PENDING, JobState.QUEUED):
+            handle = self._handles.get(job_id)
+            if handle is None:  # queued, or held on its dependencies
                 self.queue.remove(job)
                 self._held.pop(job.id, None)
-                job.try_transition(JobState.CANCELLED)
-                job.finished_at = self.now_fn()
-                if self.journal is not None:
-                    self.journal.record_seal(job)
-                self._version += 1
-                self._idle.notify_all()
-                return True
-            handle = self._handles.get(job_id)
+                self._seal(job, JobState.CANCELLED, None)
         if handle is not None:
-            handle.request_cancel()
-            return True
-        return False
+            handle.request_cancel()  # the attempt reports; _attempt_done seals
+        else:
+            self.dispatch()
+        return True
 
     def job(self, job_id: str) -> Job:
         """Look up a job by id."""

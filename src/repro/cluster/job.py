@@ -307,16 +307,11 @@ class Job:
         # -- fault-tolerance bookkeeping (owned by the distributor) -------
         #: finished attempts, oldest first (the lineage the portal shows)
         self.attempts: list[JobAttempt] = []
-        #: attempt generation: bumped each time an attempt starts.  An
-        #: :class:`~repro.cluster.backends.ExecutionHandle` snapshots it at
-        #: launch, so a completion from a superseded attempt (killed node,
-        #: enforced timeout) can never clobber the live one.
+        #: attempt generation: bumped each time an attempt starts; the
+        #: lineage's attempt numbers and the run deadlines carry it.
         self.attempt_epoch = 0
         #: earliest time the job may be dispatched (retry backoff)
         self.not_before = 0.0
-        #: distributor hook consulted before a FAILED/TIMEOUT seal; when it
-        #: returns True the backend moves the job to RETRYING instead.
-        self.retry_gate: Optional[Callable[["Job", JobState], bool]] = None
 
     # -- state machine -------------------------------------------------------
     @property
@@ -430,7 +425,6 @@ class Job:
         job.attempts = [JobAttempt(**a) for a in wire.get("attempts", ())]
         job.attempt_epoch = int(wire.get("attempt_epoch", 0))
         job.not_before = float(wire.get("not_before", 0.0))
-        job.retry_gate = None
         return job
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

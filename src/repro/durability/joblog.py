@@ -31,8 +31,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from repro._errors import JobError
-from repro.durability.journal import dumps_compact
 from repro.durability.store import DurabilityStore
 from repro.wire import dataclass_fields
 
@@ -71,26 +69,21 @@ def _placement(p: dict) -> str:
     return "{" + ",".join(f"{_escape(k)}:{int(v)}" for k, v in p.items()) + "}"
 
 
-_MISSING = object()
-
-
 def request_wire(request) -> dict:
     """Sparse wire form of a request, degrading callables to a recoverable stub.
 
     Fields at their declared defaults are dropped (``from_wire`` restores
-    them), which keeps the largest per-job record to a handful of keys.
+    them), which keeps the largest per-job record to a handful of keys;
+    only the other fields are encoded.
     """
-    try:
-        wire = request.to_wire()
-    except JobError:
+    if request.callable is not None:  # a live function has no wire form
         return {
             "_unrecoverable": "callable",
             "name": request.name,
             "owner": request.owner,
             "kind": request.kind.value,
         }
-    defaults = dataclass_fields(type(request)).defaults
-    return {k: v for k, v in wire.items() if defaults.get(k, _MISSING) != v}
+    return dataclass_fields(type(request)).encode_sparse(request)
 
 
 def job_wire(job: "Job") -> dict:

@@ -12,16 +12,19 @@ instead of constructing a bare :class:`JobDistributor`:
 4. **reconcile** non-terminal jobs against live node reports:
 
    * an attempt in flight on nodes that are all in ``live_nodes`` is
-     *resumed* — its placement is re-reserved and the backend relaunches
-     it under the same attempt epoch (the work restarts; at-least-once);
-   * an attempt on any dead/unknown node is retired as ``node_lost`` and
-     requeued through the PR 3 retry path — same budget accounting, same
-     backoff, same lineage records — or sealed FAILED when the budget
-     (or a wall-clock deadline) says no;
+     *resumed* — the distributor's one launch re-reserves its placement
+     and relaunches it under the same attempt epoch (the work restarts;
+     at-least-once);
+   * an attempt on any dead/unknown node is ended as ``node_lost`` and
+     settled by the distributor's one retry-or-seal decision — same
+     budget accounting, same backoff, same lineage records — so it is
+     requeued, or sealed FAILED when the budget (or a wall-clock
+     deadline) says no;
    * a journaled-but-undecided attempt outcome (the crash landed between
-     the attempt record and its requeue/seal) is re-decided: a journaled
-     ``completed`` seals COMPLETED without re-running — this is what
-     makes replay idempotent and double-completion impossible;
+     the attempt record and its requeue/seal) is re-decided by the same
+     decision: a journaled ``completed`` seals COMPLETED without
+     re-running — this is what makes replay idempotent and
+     double-completion impossible;
    * queued jobs re-enter the queue at their submission-order position
      (backoff ``not_before`` preserved), wall-clock deadlines re-arm.
 
@@ -85,61 +88,6 @@ def _in_flight(job: Job) -> bool:
     return job.attempt_epoch > last
 
 
-def _seal_as(dist: JobDistributor, job: Job, state: JobState, error: str | None) -> None:
-    """Seal a restored job through the distributor's normal plumbing (lock held)."""
-    if error is not None:
-        job.error = error
-    job.transition(state)
-    job.stdout.close()
-    job.stderr.close()
-    dist._seal(job)
-
-
-def _retire_lost_attempt(dist: JobDistributor, job: Job, error: str) -> None:
-    """Journal the crash-lost attempt as ``node_lost`` lineage (lock held)."""
-    from repro.cluster.job import JobAttempt
-
-    attempt = JobAttempt(
-        no=job.attempt_epoch,
-        placement=dict(job.placement),
-        started_at=job.started_at,
-        finished_at=dist.now_fn(),
-        outcome="node_lost",
-        error=error,
-    )
-    job.attempts.append(attempt)
-    job.placement = {}
-    if dist.journal is not None:
-        dist.journal.record_attempt(job, attempt)
-
-
-def _resume(dist: JobDistributor, job: Job) -> bool:
-    """Re-adopt an attempt whose nodes all survived: re-reserve + relaunch.
-
-    The epoch is *not* bumped — this is the same attempt restarting, so
-    its eventual completion applies exactly once.  Returns success.
-    """
-    reserved: list[str] = []
-    try:
-        for node_name, cores in job.placement.items():
-            dist.grid.node(node_name).allocate(
-                job.id,
-                cores,
-                memory_mb=job.request.memory_mb_per_task
-                * (cores // job.request.cores_per_task),
-            )
-            reserved.append(node_name)
-    except Exception:
-        for node_name in reserved:
-            dist.grid.node(node_name).free(job.id)
-        return False
-    dist._running[job.id] = job
-    handle = dist._backend_for(job).launch(job)
-    dist._handles[job.id] = handle
-    handle.on_done(lambda j, h=handle: dist._attempt_done(j, h))
-    return True
-
-
 def recover_distributor(
     store: DurabilityStore,
     grid,
@@ -179,51 +127,33 @@ def recover_distributor(
                 dist.monitor.record_job(job)
                 report.terminal_restored += 1
                 continue
-            job.retry_gate = dist._retry_gate
             wall = job.request.wallclock_timeout_s
             if wall is not None and job.submitted_at is not None:
                 dist._push_deadline(job.submitted_at + wall, "wall", job.id, -1)
             if "_unrecoverable" in wire.get("request", {}):
                 # a live callable died with the old process; its lineage
                 # survives but the work cannot be relaunched.
-                _seal_as(dist, job, JobState.FAILED,
-                         "callable lost in restart (not journalable)")
+                dist._seal(job, JobState.FAILED, "callable lost in restart (not journalable)")
                 report.sealed_unrecoverable += 1
                 continue
             if job.state is JobState.RUNNING:
                 if _in_flight(job):
-                    nodes = set(job.placement)
-                    if nodes and nodes <= live and _resume(dist, job):
+                    resumable = job.placement and job.placement.keys() <= live
+                    if resumable and dist._start(job, job.placement, resume=True):
                         report.resumed_in_flight += 1
                         continue
-                    _retire_lost_attempt(dist, job, "lost in distributor crash")
-                    outcome = "node_lost"
+                    outcome, error = "node_lost", "lost in distributor crash"
+                    dist._finish_attempt(job, outcome, error)
                 else:
                     # attempt outcome journaled, next step was not.
-                    outcome = job.attempts[-1].outcome
-                if outcome == "completed":
-                    job.exit_code = job.attempts[-1].exit_code
-                    _seal_as(dist, job, JobState.COMPLETED, None)
+                    last = job.attempts[-1]
+                    outcome, error, job.exit_code = last.outcome, last.error, last.exit_code
+                if dist._settle(job, outcome, error):
+                    report.requeued_in_flight += 1
+                elif outcome == "completed":
                     report.sealed_completed += 1
-                elif outcome == "cancelled":
-                    _seal_as(dist, job, JobState.CANCELLED, job.attempts[-1].error)
-                else:
-                    failure_class = "timeout" if outcome == "timeout" else outcome
-                    if failure_class not in ("timeout", "node_lost"):
-                        failure_class = "failed"
-                    if dist._should_retry(job, failure_class, now):
-                        job.transition(JobState.RETRYING)
-                        dist._requeue(job, failure_class)
-                        report.requeued_in_flight += 1
-                    else:
-                        final = (
-                            JobState.TIMEOUT
-                            if failure_class == "timeout"
-                            else JobState.FAILED
-                        )
-                        _seal_as(dist, job, final,
-                                 job.attempts[-1].error or "no retry budget after crash")
-                        report.sealed_no_budget += 1
+                elif outcome != "cancelled":
+                    report.sealed_no_budget += 1
             else:  # queued (possibly in backoff)
                 dist.queue.push(job)
                 if job.not_before > now:

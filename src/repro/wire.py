@@ -122,9 +122,7 @@ class Fields:
     :data:`REQUIRED` as the default of a required field."""
 
     def __init__(self, declared: Iterable[tuple[str, Any, Any]]) -> None:
-        self._decoders, encoders = [], []
-        #: each optional field's default, in wire form
-        self.defaults: dict[str, Any] = {}
+        self._decoders, encoders, sparse = [], [], []
         for name, hint, default in declared:
             decode, encode = codec(hint)
             if get_origin(hint) in (Union, UnionType) and default is not None:
@@ -133,10 +131,10 @@ class Fields:
             self._decoders.append((name, decode, default is REQUIRED))
             if encode is not None:
                 encoders.append((name, encode))
-            if default is not REQUIRED:
-                wire_default = encode(default) if encode and default is not None else default
-                self.defaults[name] = wire_default
+            wire_default = encode(default) if encode and default not in (None, REQUIRED) else default
+            sparse.append((name, default, encode, wire_default))
         self._encoders = tuple(encoders)
+        self._sparse = tuple(sparse)
         #: field names, in declaration order
         self.names = tuple(name for name, _, _ in self._decoders)
         #: the fields that must be present
@@ -173,6 +171,22 @@ class Fields:
     def encode_object(self, obj: Any) -> dict:
         """Every field of ``obj``, in declaration order, in wire form."""
         return self.encode({name: getattr(obj, name) for name in self.names})
+
+    def encode_sparse(self, obj: Any) -> dict:
+        """The fields of ``obj`` whose wire form differs from their default's,
+        in declaration order and wire form; a field equal to its default is
+        never encoded."""
+        out = {}
+        for name, default, encode, wire_default in self._sparse:
+            value = getattr(obj, name)
+            if value == default:
+                continue
+            if encode is not None and value is not None:
+                value = encode(value)
+                if value == wire_default:  # e.g. a list where a tuple is declared
+                    continue
+            out[name] = value
+        return out
 
 
 @functools.cache

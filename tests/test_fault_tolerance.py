@@ -33,7 +33,7 @@ from repro.cluster import (
     RetryPolicy,
     SimulatedBackend,
 )
-from repro.cluster.backends import ExecutionBackend, ExecutionHandle, _finish
+from repro.cluster.backends import ExecutionBackend, ExecutionHandle
 from repro.desim import Simulator
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)
@@ -243,7 +243,7 @@ class TestReroute:
         assert faults["retries"] == 1
 
     def test_attempt_sealed_by_its_cancel_still_reroutes(self):
-        # A SubprocessBackend run cancelled before its spawn seals at once
+        # A SubprocessBackend run cancelled before its spawn reports at once
         # on the I/O thread; the node loss must win over that cancel.
         class SealOnCancel(ExecutionBackend):
             def launch(self, job):
@@ -251,7 +251,7 @@ class TestReroute:
 
                 def request_cancel():
                     ExecutionHandle.request_cancel(handle)
-                    _finish(job, handle, -1)
+                    handle.finish(-1)
 
                 handle.request_cancel = request_cancel
                 return handle
