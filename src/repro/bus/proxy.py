@@ -4,14 +4,15 @@ One :class:`ClusterProxy` per front-end worker.  Its port methods are
 not written here: one stub per :data:`~repro.bus.service.CLUSTER_PORT`
 entry is generated from the :class:`~repro.bus.service.LocalCluster`
 method it stands for (same name, signature and docstring).  A stub maps
-its arguments to the RPC's params, puts each in its wire form with the
-port call's :class:`~repro.wire.Fields` codec (a dataclass such as a
-:class:`JobRequest` becomes an object), and turns a list reply back
-into a tuple where the method returns one.  The proxy also maps remote
-error types back onto the local exception classes the portal's HTTP error table
-already understands, so a front-end handler body is indistinguishable
-from the in-process one.  Spec applies that change a portal stanza
-arrive on the ``cluster.spec.applied`` topic
+its arguments to the RPC's params in its own frame; only a parameter
+whose value is not its own wire form (a dataclass such as a
+:class:`JobRequest` becomes an object) goes through the port call's
+:class:`~repro.wire.Fields` codec, and a list reply turns back into a
+tuple where the method returns one.  The stub also maps remote error
+types back onto the local exception classes the portal's HTTP error
+table already understands, so a front-end handler body is
+indistinguishable from the in-process one.  Spec applies that change a
+portal stanza arrive on the ``cluster.spec.applied`` topic
 (:meth:`ClusterProxy.on_spec_applied`).
 """
 
@@ -56,15 +57,6 @@ class ClusterProxy:
         self.rpc = RpcClient(bus, service_queue, client_id)
         self.timeout_s = timeout_s
 
-    def _call(self, method: str, params: dict | None = None):
-        try:
-            return self.rpc.call(method, params, timeout=self.timeout_s)
-        except RpcRemoteError as exc:
-            local = _REMOTE_ERRORS.get(exc.remote_type)
-            if local is not None:
-                raise local(str(exc)) from None
-            raise
-
     def on_spec_applied(self, listener: Callable[[dict, list], None]) -> None:
         """Call ``listener(doc, ops)`` for every apply that changes a portal
         stanza, whichever worker asked for it."""
@@ -76,18 +68,35 @@ class ClusterProxy:
         self.rpc.bus.subscribe(SPEC_TOPIC, deliver)
 
     def service_stats(self) -> dict:
-        return self._call("service.stats")
+        try:
+            return self.rpc.call("service.stats", None, timeout=self.timeout_s)
+        except RpcRemoteError as exc:
+            raise _local_error(exc) from None
+
+
+def _local_error(exc: RpcRemoteError) -> Exception:
+    """The local exception a remote one stands for (``exc`` itself if none)."""
+    local = _REMOTE_ERRORS.get(exc.remote_type)
+    return exc if local is None else local(str(exc))
 
 
 def _stub(call: PortCall) -> Callable[..., Any]:
     """The proxy method for one port call: one RPC."""
-    rpc, names, encode, tuple_reply = call.rpc, call.names, call.fields.encode, call.tuple_reply
+    rpc, names, tuple_reply = call.rpc, call.names, call.tuple_reply
+    encode = call.fields.encode if call.fields.encoders else None
+    n_names = len(names)
 
     @wraps(call.function)
     def stub(self: ClusterProxy, *args: Any, **kwargs: Any) -> Any:
-        if len(args) > len(names):
-            raise TypeError(f"{call.method}() takes {len(names)} arguments, got {len(args)}")
-        reply = self._call(rpc, encode(dict(zip(names, args), **kwargs)))
+        if len(args) > n_names:
+            raise TypeError(f"{call.method}() takes {n_names} arguments, got {len(args)}")
+        params = dict(zip(names, args), **kwargs)
+        if encode is not None:
+            encode(params)
+        try:
+            reply = self.rpc.call(rpc, params, timeout=self.timeout_s)
+        except RpcRemoteError as exc:
+            raise _local_error(exc) from None
         return tuple(reply) if tuple_reply else reply
 
     stub.__qualname__ = f"ClusterProxy.{call.method}"

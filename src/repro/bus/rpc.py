@@ -7,11 +7,17 @@ it, runs the named handler and encodes the reply, and the client
 decodes that.  No thread, queue or correlation id sits between them.
 
 Wire discipline: every payload that crosses the bus is round-tripped
-through JSON (:func:`encode_wire`/:func:`decode_wire`).  In-process the
-bytes could be skipped, but enforcing the codec here means a front-end
-can never accidentally share a live object with the back-end — the
-boundary stays honest, so swapping the in-memory backend for a real
-broker changes no calling code.
+through JSON text (:func:`encode_wire`/:func:`decode_wire`).  In-process
+the text could be skipped, but enforcing the codec here means a
+front-end can never accidentally share a live object with the back-end
+— the boundary stays honest, so swapping the in-memory backend for a
+real broker changes no calling code.  Each way is one call into the
+``json`` module's C code: one compact C encoder and one C scanner are
+built at import and reused.  A value with no JSON form, or one that
+contains itself, is refused with :class:`BusError`, and so is text
+that is not one JSON value (malformed, or followed by more text);
+text the scanner does not take whole goes to :func:`json.loads` for
+the verdict, so JSON padded with whitespace is still read.
 
 Envelopes are plain dicts::
 
@@ -30,6 +36,9 @@ import itertools
 import json
 import threading
 import time
+from json.decoder import JSONDecoder
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.scanner import c_make_scanner
 from typing import Any, Callable, Optional
 
 from repro._errors import BusError, RpcRemoteError, RpcTimeout
@@ -37,21 +46,35 @@ from repro.bus.core import MessageBus
 
 __all__ = ["RpcClient", "RpcServer", "decode_wire", "encode_wire"]
 
-#: ``json.dumps`` with non-default separators builds a new encoder per
-#: call; one shared compact encoder is stateless between calls.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: compact JSON, ASCII-only, NaN allowed: ``json.dumps``'s output with
+#: ``separators=(",", ":")``.  Built once: ``json.dumps`` builds one per
+#: call.  It keeps no table of the containers it is inside (that table
+#: would be shared by every thread), so a payload that contains itself
+#: ends in :class:`RecursionError` instead.
+_ENCODE = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", False, False, True)
+
+#: the scanner ``json.loads`` runs, without its whitespace handling
+_SCAN = c_make_scanner(JSONDecoder())
 
 
 def encode_wire(payload: Any) -> str:
-    """Serialise ``payload`` for the bus; rejects non-JSON-able objects."""
+    """Serialise ``payload`` for the bus; rejects non-JSON-able or cyclic objects."""
     try:
-        return _ENCODER.encode(payload)
-    except (TypeError, ValueError) as exc:
+        return "".join(_ENCODE(payload, 0))
+    except (TypeError, ValueError, RecursionError) as exc:
         raise BusError(f"payload is not wire-safe: {exc}") from None
 
 
 def decode_wire(data: str) -> Any:
+    """The value of wire text; rejects anything but one JSON value."""
     try:
+        value, end = _SCAN(data, 0)
+        if end == len(data):
+            return value
+    except (StopIteration, TypeError, ValueError):
+        pass
+    try:  # padding whitespace, or the error to report
         return json.loads(data)
     except (TypeError, ValueError) as exc:
         raise BusError(f"malformed wire payload: {exc}") from None
@@ -100,9 +123,10 @@ class RpcServer:
             if not self._serving:  # stopped while this call waited
                 raise RpcTimeout(f"no server on {self.service_queue!r}")
             try:
-                handler = self._handlers.get(req.get("method", ""))
-                if handler is None:
-                    raise BusError(f"unknown RPC method {req.get('method')!r}")
+                try:
+                    handler = self._handlers[req["method"]]
+                except (KeyError, TypeError):
+                    raise BusError(f"unknown RPC method {req.get('method')!r}") from None
                 reply = {"ok": handler(req.get("params") or {})}
             except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
                 reply = {"err": {"type": type(exc).__name__, "message": str(exc)}}
@@ -168,10 +192,10 @@ class RpcClient:
             self.timeouts += 1
             raise
         reply = decode_wire(data)
-        err = reply.get("err")
-        if err is not None:
-            raise RpcRemoteError(
-                err.get("message", "remote error"),
-                remote_type=err.get("type", "Exception"),
-            )
-        return reply.get("ok")
+        if "ok" in reply:
+            return reply["ok"]
+        err = reply.get("err") or {}
+        raise RpcRemoteError(
+            err.get("message", "remote error"),
+            remote_type=err.get("type", "Exception"),
+        )

@@ -27,7 +27,9 @@ entry.  It checks the wire with a :class:`~repro.wire.Fields` codec read
 once from the method's signature (:class:`PortCall`), the same codec
 that checks HTTP bodies and rebuilds a :class:`JobRequest`, and refuses
 a missing, unknown or wrongly typed parameter with :class:`BusError`
-before the method runs.  A ``null`` parameter is an absent one.
+before the method runs.  A ``null`` parameter is an absent one.  The
+handler is one frame around the codec's one-frame check: neither calls
+anything per parameter of a plain type (``str``, ``int``, ``bool``...).
 
 ``reply_latency_s`` models the control-plane round trip a real cluster
 imposes (the paper's portal talks to its cluster over a network; our
@@ -357,27 +359,29 @@ class PortCall:
         #: the parameters' codec, in declaration order (the stubs' positional order)
         self.fields = Fields.of_parameters(fn, params)
         self.names = self.fields.names
-        self._accepted = frozenset(self.names)
         returns = get_type_hints(fn).get("return")
         #: JSON turns a tuple into a list; the stub turns it back
         self.tuple_reply = returns is tuple or get_origin(returns) is tuple
 
-    def arguments(self, params: dict) -> dict:
-        """Checked keyword arguments from wire ``params``; :class:`BusError`
-        for a missing required parameter, an unknown one or a wrong type."""
-        if not self._accepted.issuperset(params):
-            unknown = sorted(set(params) - self._accepted)
-            raise BusError(f"{self.rpc}: unknown parameter(s) {', '.join(unknown)}")
-        try:
-            return self.fields.decode(params)
-        except ValueError as exc:
-            raise BusError(f"{self.rpc}: {exc}") from None
-
     def handler(self, cluster: LocalCluster) -> Callable[[dict], Any]:
-        """The RPC handler: check the wire, then run the method on ``cluster``."""
-        method = getattr(cluster, self.method)
-        arguments = self.arguments
-        return lambda params: method(**arguments(params))
+        """The RPC handler: check the wire ``params`` (:class:`BusError` for a
+        missing required parameter, an unknown one or a wrong type), then
+        run the method on ``cluster``."""
+        method, decode, rpc = getattr(cluster, self.method), self.fields.decode, self.rpc
+        accepted = frozenset(self.names)
+
+        def handle(params: dict) -> Any:
+            for name in params:
+                if name not in accepted:
+                    unknown = sorted(set(params) - accepted)
+                    raise BusError(f"{rpc}: unknown parameter(s) {', '.join(unknown)}")
+            try:
+                arguments = decode(params)
+            except ValueError as exc:
+                raise BusError(f"{rpc}: {exc}") from None
+            return method(**arguments)
+
+        return handle
 
 
 #: RPC name → its resolved :class:`PortCall`

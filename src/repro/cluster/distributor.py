@@ -397,7 +397,10 @@ class JobDistributor:
         A new attempt goes RUNNING under the next epoch and is journaled
         before its launch; ``resume`` relaunches the attempt a crash left
         in flight, under its journaled epoch.  Returns False, holding
-        nothing, when a node refuses the reservation.
+        nothing, when a node refuses the reservation.  A launch that raises
+        ends the attempt at once as failed (error ``launch failed: ...``)
+        through the settle path, which frees its cores and journals it;
+        that still counts as a start.
         """
         done: list[str] = []
         try:
@@ -420,7 +423,11 @@ class JobDistributor:
             if self.journal is not None:
                 self.journal.record_start(job)
         self._running[job.id] = job
-        handle = self._backend_for(job).launch(job)
+        try:
+            handle = self._backend_for(job).launch(job)
+        except Exception as exc:  # noqa: BLE001 - the attempt never ran
+            self._end_attempt(job, "failed", f"launch failed: {exc}")
+            return True
         self._handles[job.id] = handle
         handle.on_done(self._attempt_done)
         return True

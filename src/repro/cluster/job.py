@@ -83,8 +83,10 @@ _TERMINAL = {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED, JobState.T
 
 _ALLOWED: dict[JobState, set[JobState]] = {
     JobState.PENDING: {JobState.QUEUED, JobState.CANCELLED},
-    # QUEUED -> TIMEOUT: the wall-clock budget can expire before a start.
-    JobState.QUEUED: {JobState.RUNNING, JobState.CANCELLED, JobState.TIMEOUT},
+    # QUEUED -> TIMEOUT: the wall-clock budget can expire before a start;
+    # QUEUED -> FAILED: work that cannot run any more (a callable lost in
+    # a restart) fails unrun.
+    JobState.QUEUED: {JobState.RUNNING, JobState.CANCELLED, JobState.TIMEOUT, JobState.FAILED},
     JobState.RUNNING: {
         JobState.COMPLETED,
         JobState.FAILED,

@@ -48,7 +48,7 @@ GET         /api/fleet                         elastic-fleet snapshot (pools, pe
 GET         /api/quota                         home-directory usage
 GET         /metrics                           Prometheus text format (unauthenticated)
 GET         /debug/trace/<job_id>              job span tree (HTML, or ?format=json)
-GET         /debug/requests                    recent request traces (admin)
+GET         /debug/requests                    the newest 50 requests (admin)
 GET         /debug/events                      structured event log (admin)
 GET         /debug/fleet                       fleet scaling-decision log (admin)
 ==========  =================================  ==========================================
@@ -210,7 +210,7 @@ class PortalApp:
             if not decision.admitted:
                 response = shed_response(decision)
                 if tel.on:
-                    tel.c_responses.labels(response.status).inc()
+                    tel.responses[response.status].inc()
                 return response.to_wsgi(start_response)
         else:
             decision = None
@@ -218,8 +218,8 @@ class PortalApp:
         if swept:
             self._counters["sessions_swept"].inc(swept)
         if tel.on:
-            t0 = time.perf_counter()
-            span = tel.request_started(request)
+            tel.inflight += 1
+            start, t0 = tel.clock(), time.perf_counter()
         try:
             response = self._handle(request)
         except HttpError as exc:
@@ -237,8 +237,8 @@ class PortalApp:
             if decision is not None:
                 self.admission.release()
         if tel.on:
-            route = getattr(request, "route", None) or "unmatched"
-            tel.request_done(span, route, response.status, time.perf_counter() - t0)
+            tel.inflight -= 1
+            tel.request_done(request, response.status, start, time.perf_counter() - t0)
         return response.to_wsgi(start_response)
 
     # -- observability -------------------------------------------------------
@@ -733,16 +733,10 @@ class PortalApp:
         )
 
     def _debug_requests(self, req: Request) -> Response:
-        """Recent portal request traces (admin debugging)."""
+        """The newest 50 portal requests, oldest first (admin debugging)."""
         user = self._require_user(req)
         user.require("view_all_jobs")
-        tracer = self.telemetry.tracer
-        traces = [
-            {"id": trace_id, "trace": tracer.get(trace_id).as_dict()}
-            for trace_id in tracer.ids()[-50:]
-            if tracer.get(trace_id) is not None
-        ]
-        return Response.json({"requests": traces})
+        return Response.json({"requests": self.telemetry.recent_requests(50)})
 
     def _debug_fleet(self, req: Request) -> Response:
         """The fleet manager's scaling-decision log (admin debugging)."""

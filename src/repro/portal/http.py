@@ -67,8 +67,8 @@ class Request:
         self.route: Optional[str] = None
         #: authenticated user, filled in by the app's auth middleware
         self.user = None
-        #: telemetry root span for this request, when tracing is on
-        self.tspan = None
+        #: the response cache's answer ("hit" or "miss"), when it was asked
+        self.cache: Optional[str] = None
 
     @property
     def query(self) -> dict[str, str]:

@@ -198,12 +198,10 @@ def conditional_get(cache, counters, req, namespace: str, key, build) -> "Respon
     stale render.  ``counters`` maps ``cache_hits`` / ``cache_misses`` /
     ``not_modified`` to counter children (the portal telemetry dict).
     """
-    span = getattr(req, "tspan", None)
     entry, gen = cache.lookup_versioned(namespace, key)
     if entry is not None:
         counters["cache_hits"].inc()
-        if span is not None:
-            span.set(cache="hit")
+        req.cache = "hit"
         if req.etag_matches(entry.etag):
             counters["not_modified"].inc()
             return Response.not_modified(headers=(("ETag", entry.etag),))
@@ -213,8 +211,7 @@ def conditional_get(cache, counters, req, namespace: str, key, build) -> "Respon
             headers=(*entry.headers, ("ETag", entry.etag)),
         )
     counters["cache_misses"].inc()
-    if span is not None:
-        span.set(cache="miss")
+    req.cache = "miss"
     resp = build()
     if resp.status == 200 and resp.chunks is None:
         etag = f'"{hashlib.blake2b(resp.body, digest_size=8).hexdigest()}"'

@@ -11,11 +11,18 @@ HTTP/1.1 (``http.client``, browsers) read to the close.
   request blocked on a long job poll never delays another connection)
   without paying a thread start per request.  :meth:`server_close`
   releases the parked workers.
-* **Requests are parsed by hand.**  The request line and header lines
-  are split into the WSGI environ directly, with the stdlib server's
-  limits: a request line over 64 KiB is refused with 414, an over-long
-  header line or more than 100 of them with 431.  ``wsgi.input`` is the
-  socket's buffered reader, so an upload is read as the app consumes it.
+* **Requests are parsed from one read.**  The connection's first
+  ``recv`` normally holds the whole request head; the head is split
+  once into lines and the WSGI environ built from them, with the stdlib
+  server's limits: a request line over 64 KiB is refused with 414, an
+  over-long header line or more than 100 of them with 431.  A head that
+  arrives in several writes is read on until its blank line.
+  ``wsgi.input`` hands out the bytes read past the head first and then
+  reads the socket, so an upload is read as the app consumes it.
+* **An accept is one call.**  The serve loop waits in ``accept`` itself
+  (with a timeout, to notice a shutdown) instead of in a selector, and
+  builds the accepted socket with the listener's family and type
+  instead of reading them back.
 * **A buffered response is one send.**  The status line and headers go
   out in one buffer together with the first body chunk, which for every
   non-streamed response is the whole body; later chunks of a streamed
@@ -42,6 +49,8 @@ work runs outside all of them.
 
 from __future__ import annotations
 
+import re
+import socket
 import sys
 import threading
 import time
@@ -59,6 +68,18 @@ _MAX_LINE = 65536
 #: most header lines accepted (as ``http.client``).
 _MAX_HEADERS = 100
 
+#: bytes asked of the socket per read: a whole request head, as a rule.
+_RECV = 65536
+
+#: the blank line that ends a request head (a line ending is LF or CRLF).
+_HEAD_END = re.compile(rb"\n\r?\n")
+
+#: most header names whose environ key a server remembers.
+_MAX_HEADER_KEYS = 256
+
+#: the headers CGI names without the ``HTTP_`` prefix; the first one sent wins.
+_CONTENT_KEYS = ("CONTENT_TYPE", "CONTENT_LENGTH")
+
 #: statuses whose response never carries a body.
 _BODYLESS = ("204", "304")
 
@@ -72,6 +93,51 @@ class _Reject(Exception):
     def __init__(self, status: str) -> None:
         super().__init__(status)
         self.status = status
+
+
+class _Input:
+    """``wsgi.input``: the body bytes read with the head, then the socket."""
+
+    __slots__ = ("_sock", "_pending")
+
+    def __init__(self, sock, pending: bytes) -> None:
+        self._sock = sock
+        self._pending = pending
+
+    def read(self, size: int | None = -1) -> bytes:
+        """``size`` bytes (to the end of the stream when negative or None);
+        fewer only when the stream ends first."""
+        size = -1 if size is None else size
+        pending = self._pending
+        if 0 <= size <= len(pending):
+            self._pending = pending[size:]
+            return pending[:size]
+        self._pending = b""
+        parts, have = [pending], len(pending)
+        while size < 0 or have < size:
+            chunk = self._sock.recv(_RECV if size < 0 else min(size - have, _RECV))
+            if not chunk:
+                break
+            parts.append(chunk)
+            have += len(chunk)
+        return b"".join(parts)
+
+    def readline(self, size: int | None = -1) -> bytes:
+        """One line, through its ``\\n``; at most ``size`` bytes unless negative."""
+        size = -1 if size is None else size
+        while b"\n" not in self._pending and (size < 0 or len(self._pending) < size):
+            chunk = self._sock.recv(_RECV)
+            if not chunk:
+                break
+            self._pending += chunk
+        end = self._pending.find(b"\n") + 1 or len(self._pending)
+        return self.read(end if size < 0 else min(end, size))
+
+    def readlines(self, hint: int = -1) -> list:
+        return list(self)
+
+    def __iter__(self):
+        return iter(self.readline, b"")
 
 
 class _Worker:
@@ -119,20 +185,15 @@ class _Exchange:
             return
         if self.status is None:
             raise AssertionError("write before start_response")
-        lines = [f"HTTP/1.0 {self.status}\r\n"]
-        has_length = has_date = False
-        for name, value in self.headers:
-            lines.append(f"{name}: {value}\r\n")
-            lowered = name.lower()
-            has_length = has_length or lowered == "content-length"
-            has_date = has_date or lowered == "date"
-        if not has_date:
-            lines.append(f"Date: {self.date}\r\n")
-        if not has_length and self.length is not None and self.status[:3] not in _BODYLESS:
-            lines.append(f"Content-Length: {self.length}\r\n")
-        lines.append("\r\n")
+        head = f"HTTP/1.0 {self.status}\r\n" + "".join([f"{n}: {v}\r\n" for n, v in self.headers])
+        declared = head.lower()
+        if "\ndate:" not in declared:
+            head += f"Date: {self.date}\r\n"
+        if ("\ncontent-length:" not in declared and self.length is not None
+                and self.status[:3] not in _BODYLESS):
+            head += f"Content-Length: {self.length}\r\n"
         self.sent = True
-        self.sock.sendall("".join(lines).encode("latin-1") + data)
+        self.sock.sendall((head + "\r\n").encode("latin-1") + data)
 
     def reply(self, status: str, body: bytes) -> None:
         """Answer with a plain-text ``body`` in place of anything unsent."""
@@ -151,7 +212,7 @@ class _PortalServer(TCPServer):
         super().__init__(server_address, None)
         self.app = app
         self.server_port: int = self.server_address[1]
-        self._environ = {
+        self._environ_base = {
             "SERVER_NAME": server_address[0],
             "SERVER_PORT": str(self.server_port),
             "SERVER_SOFTWARE": "repro-portal",
@@ -165,11 +226,50 @@ class _PortalServer(TCPServer):
             "wsgi.run_once": False,
         }
         self._date: tuple[int, str] = (0, "")
+        #: header name → environ key, for the names seen so far
+        self._header_keys: dict[str, str] = {}
         self._lock = threading.Lock()  # guards _parked and _closed
         self._parked: list[_Worker] = []
         self._closed = False
+        self._stopping = False
+        self._stopped = threading.Event()
+        self._stopped.set()
 
     # -- threads --------------------------------------------------------------
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections and hand each to :meth:`process_request` until
+        :meth:`shutdown`.
+
+        The listener waits in ``accept`` itself, up to ``poll_interval``
+        seconds at a time, so no selector runs per connection and a
+        shutdown is seen within one interval.
+        """
+        self._stopped.clear()
+        self.socket.settimeout(poll_interval)
+        try:
+            while not self._stopping:
+                try:
+                    request, client_address = self.get_request()
+                except TimeoutError:
+                    continue
+                except OSError:
+                    if self.socket.fileno() < 0:
+                        break  # closed under the loop
+                    continue
+                try:
+                    self.process_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                    self.shutdown_request(request)
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stopping = True
+        self._stopped.wait()
+
     def process_request(self, request, client_address) -> None:
         """Hand the connection to a parked worker, or start one if none is idle."""
         with self._lock:
@@ -223,68 +323,131 @@ class _PortalServer(TCPServer):
         for worker in parked:
             worker.thread.join()
 
+    # -- one connection ---------------------------------------------------------
+    def get_request(self) -> tuple:
+        """Accept a connection, built with the listener's known family and type.
+
+        The accepted socket blocks: Linux's ``accept4`` does not pass the
+        listener's timeout mode on to it.
+        """
+        fd, client_address = self.socket._accept()
+        return socket.socket(self.address_family, self.socket_type, 0, fd), client_address
+
+    def shutdown_request(self, request) -> None:
+        """End the response and close the connection."""
+        try:
+            request.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the client already went
+        request.close()
+
     # -- one request ------------------------------------------------------------
     def finish_request(self, request, client_address) -> None:
         """Read one request off ``request``, run the app and write its response."""
-        rfile = request.makefile("rb")
+        exchange = _Exchange(request, self._http_date())
         try:
-            exchange = _Exchange(request, self._http_date())
-            try:
-                environ = self._read_request(rfile, client_address)
-            except _Reject as refused:
-                exchange.reply(refused.status, refused.status[4:].encode())
-                return
-            if environ is not None:
-                self._run_app(environ, exchange)
-        finally:
-            rfile.close()
+            environ = self._read_request(request, client_address)
+        except _Reject as refused:
+            exchange.reply(refused.status, refused.status[4:].encode())
+            return
+        if environ is not None:
+            self._run_app(environ, exchange)
 
-    def _read_request(self, rfile, client_address) -> dict | None:
-        """The WSGI environ of the request on ``rfile``; None if the client sent nothing."""
-        line = rfile.readline(_MAX_LINE + 1)
-        if not line:
+    def _read_request(self, sock, client_address) -> dict | None:
+        """The WSGI environ of the request on ``sock``; None if the client sent nothing."""
+        data = sock.recv(_RECV)
+        if not data:
             return None
-        if len(line) > _MAX_LINE:
+        head, blank, body = data.partition(b"\n\r\n")
+        if not blank or b"\n\n" in head:  # LF line ends, or the head is not all here
+            head, body = self._read_head(sock, data)
+        environ = self._parse_head(head, len(head) >= _MAX_LINE)
+        environ["REMOTE_ADDR"] = client_address[0]
+        environ["wsgi.input"] = _Input(sock, body)
+        return environ
+
+    def _read_head(self, sock, data: bytes) -> tuple[bytes, bytes]:
+        """``(head, body bytes read with it)`` for a head that ``data`` starts:
+        read on until its blank line, or until the client stops sending."""
+        end = _HEAD_END.search(data)
+        while end is None:
+            self._refuse_partial(data)
+            more = sock.recv(_RECV)
+            if not more:
+                return data, b""
+            data += more
+            end = _HEAD_END.search(data, max(0, len(data) - len(more) - 2))
+        return data[: end.start()], data[end.end() :]
+
+    def _parse_head(self, head: bytes, long: bool) -> dict:
+        """The environ of a request ``head`` (its lines, without the blank
+        one); ``long`` when a line of it may be over the limit."""
+        lines = head.decode("iso-8859-1").split("\n")
+        if long and len(lines[0]) >= _MAX_LINE:
             raise _Reject("414 URI Too Long")
-        parts = line.decode("iso-8859-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        try:
+            method, target, protocol = lines[0].split()
+        except ValueError:
+            raise _Reject("400 Bad Request") from None
+        if protocol[:5] != "HTTP/":
             raise _Reject("400 Bad Request")
-        method, target, protocol = parts
         path, _, query = target.partition("?")
-        if path.startswith("//"):
+        if path[:2] == "//":
             path = "/" + path.lstrip("/")
-        environ = self._environ.copy()
+        environ = self._environ_base.copy()
         environ["REQUEST_METHOD"] = method
-        environ["PATH_INFO"] = urllib.parse.unquote(path, "iso-8859-1")
+        environ["PATH_INFO"] = urllib.parse.unquote(path, "iso-8859-1") if "%" in path else path
         environ["QUERY_STRING"] = query
         environ["SERVER_PROTOCOL"] = protocol
-        environ["REMOTE_ADDR"] = client_address[0]
-        environ["wsgi.input"] = rfile
-        for _ in range(_MAX_HEADERS + 1):
-            line = rfile.readline(_MAX_LINE + 1)
-            if len(line) > _MAX_LINE:
+        for n, line in enumerate(lines[1:], 1):
+            if n > _MAX_HEADERS or long and len(line) >= _MAX_LINE:
                 raise _Reject("431 Request Header Fields Too Large")
-            if line in (b"\r\n", b"\n", b""):
-                return environ
-            name, colon, value = line.decode("iso-8859-1").partition(":")
-            if not colon or not name or name != name.strip():
+            name, colon, value = line.partition(":")
+            if not colon:
                 raise _Reject("400 Bad Request")
-            key = name.upper().replace("-", "_")
+            try:
+                key = self._header_keys[name]
+            except KeyError:
+                key = self._header_key(name)
             value = value.strip()
-            if key in ("CONTENT_TYPE", "CONTENT_LENGTH"):
-                environ.setdefault(key, value)
-            elif "HTTP_" + key in environ:
-                environ["HTTP_" + key] += "," + value
-            else:
-                environ["HTTP_" + key] = value
-        raise _Reject("431 Request Header Fields Too Large")
+            if key not in environ:
+                environ[key] = value
+            elif key not in _CONTENT_KEYS:
+                environ[key] += "," + value
+        return environ
+
+    def _header_key(self, name: str) -> str:
+        """The environ key of header ``name``; 400 for a name that is empty or
+        padded with whitespace."""
+        if not name or name != name.strip():
+            raise _Reject("400 Bad Request")
+        key = name.upper().replace("-", "_")
+        if key not in _CONTENT_KEYS:
+            key = "HTTP_" + key
+        if len(self._header_keys) < _MAX_HEADER_KEYS:
+            self._header_keys[name] = key
+        return key
+
+    def _refuse_partial(self, data: bytes) -> None:
+        """Refuse a request head still arriving that the limits already rule out.
+
+        The line still arriving is over-long, or more header lines came than
+        are allowed: parsing what came so far meets the refusal in the same
+        order as parsing a whole head would.
+        """
+        start = data.rfind(b"\n") + 1
+        if len(data) - start >= _MAX_LINE or data.count(b"\n") > _MAX_HEADERS + 1:
+            self._parse_head(data, True)  # raises
+            raise _Reject("431 Request Header Fields Too Large")
 
     def _run_app(self, environ: dict, exchange: _Exchange) -> None:
         try:
             result = self.app(environ, exchange.start_response)
+            if type(result) in (list, tuple) and len(result) == 1:  # a buffered body
+                exchange.length = len(result[0])
+                exchange.write(result[0])
+                return
             try:
-                if type(result) in (list, tuple) and len(result) == 1:
-                    exchange.length = len(result[0])
                 for chunk in result:
                     if chunk:
                         exchange.write(chunk)

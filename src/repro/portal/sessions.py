@@ -14,7 +14,6 @@ bound under churn.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import json
 import os
@@ -69,7 +68,8 @@ class SessionStore:
 
     # -- token crypto -------------------------------------------------------
     def _sign(self, sid: str) -> str:
-        return hmac.new(self._secret, sid.encode(), hashlib.sha256).hexdigest()[:32]
+        # hmac.digest is the one-shot C HMAC: the same bytes as hmac.new's
+        return hmac.digest(self._secret, sid.encode(), "sha256").hex()[:32]
 
     def _token(self, sid: str) -> str:
         return f"{sid}.{self._sign(sid)}"
@@ -106,14 +106,14 @@ class SessionStore:
         i = self._shard_of(sid)
         with self._locks[i]:
             shard = self._shards[i]
-            entry = shard.get(sid)
-            if entry is None:
+            if sid not in shard:
                 raise AuthenticationError("unknown session (logged out?)")
-            expires, data = entry
-            if self._now() > expires:
+            expires, data = shard[sid]
+            now = self._now()
+            if now > expires:
                 del shard[sid]
                 raise AuthenticationError("session expired")
-            shard[sid] = (self._now() + self.ttl_s, data)
+            shard[sid] = (now + self.ttl_s, data)
             return data
 
     def peek(self, token: str) -> Optional[dict[str, Any]]:

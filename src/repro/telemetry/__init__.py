@@ -5,7 +5,7 @@ The subsystem the rest of the reproduction reports into:
 * :mod:`repro.telemetry.registry` — counters, gauges, log-bucketed
   histograms, labelled families, ``NullRegistry`` to switch it all off;
 * :mod:`repro.telemetry.tracing` — explicit-context span trees (job
-  lifecycles, portal requests);
+  lifecycles, derived on demand);
 * :mod:`repro.telemetry.events` — bounded structured event log;
 * :mod:`repro.telemetry.export` — Prometheus text / JSON renderers;
 * :mod:`repro.telemetry.instruments` — per-subsystem shims with
@@ -36,7 +36,7 @@ from repro.telemetry.registry import (
     get_registry,
     set_registry,
 )
-from repro.telemetry.tracing import Span, Tracer
+from repro.telemetry.tracing import Span
 
 __all__ = [
     "Clock",
@@ -53,7 +53,6 @@ __all__ = [
     "PortalTelemetry",
     "PROMETHEUS_CONTENT_TYPE",
     "Span",
-    "Tracer",
     "WallClock",
     "default_buckets",
     "get_registry",

@@ -11,18 +11,24 @@ keep working unchanged.
 
 Everything degrades to near-zero cost under a
 :class:`~repro.telemetry.registry.NullRegistry`: the pre-bound children
-are shared no-op singletons, and the span/event paths are gated on the
-single ``on`` flag so no clock is read and no object allocated.
+are shared no-op singletons, and the request/event paths are gated on
+the single ``on`` flag so no clock is read and no object allocated.
+
+Portal requests are not traced as span trees: each finished request is
+one tuple in a bounded ring (:attr:`PortalTelemetry.requests`, the
+newest 256), which ``GET /debug/requests`` renders.  It is the first of
+the bounded per-process rings the ROADMAP's telemetry item asks for.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Optional
 
 from repro.telemetry.events import EventLog
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.tracing import Span, Tracer
+from repro.telemetry.registry import MetricFamily, MetricsRegistry
+from repro.telemetry.tracing import Span
 
 __all__ = [
     "AnalysisTelemetry",
@@ -405,20 +411,49 @@ class ExploreTelemetry:
             )
 
 
+class _Children(dict):
+    """Label value → child of one single-label family, each resolved once."""
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: MetricFamily) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, value):
+        child = self[value] = self.family.labels(value)
+        return child
+
+
+#: requests :attr:`PortalTelemetry.requests` keeps
+REQUEST_RING = 256
+
+
 class PortalTelemetry:
-    """Metrics + request traces for one :class:`PortalApp`.
+    """Metrics + the recent-request ring for one :class:`PortalApp`.
 
     Shares the distributor's registry by default so ``GET /metrics``
     serves one unified snapshot: dispatch, faults, health, cluster,
     cache and portal families side by side.
+
+    A request costs a fixed handful of calls: the app counts it in
+    :attr:`inflight` (a plain int the in-flight gauge reads at scrape
+    time), reads the clocks, and hands the finished request to
+    :meth:`request_done`, which reaches its route's histogram child and
+    its status's counter child through lookups cached on first use and
+    appends one tuple to :attr:`requests`.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self.on = registry.enabled
         self.clock = registry.clock
-        self.tracer = Tracer(self.clock, capacity=256)
-        self._req_ids = itertools.count(1)
+        #: the newest finished requests, oldest first: ``(id, start,
+        #: duration_s, method, path, route, status, cache)`` each
+        self.requests: deque = deque(maxlen=REQUEST_RING)
+        self._ids = itertools.count(1)
+        #: requests being handled now
+        self.inflight = 0
 
         reg = registry
         conditional = reg.counter(
@@ -441,17 +476,19 @@ class PortalTelemetry:
                 "repro_portal_sessions_swept_total", "expired sessions removed"
             ),
         }
-        self.h_request = reg.histogram(
+        #: route pattern → its latency histogram child
+        self.latency = _Children(reg.histogram(
             "repro_portal_request_seconds",
             "request latency by route pattern",
             labels=("route",),
-        )
-        self.c_responses = reg.counter(
+        ))
+        #: status code → its response counter child
+        self.responses = _Children(reg.counter(
             "repro_portal_responses_total", "responses by status code", labels=("status",)
-        )
-        self.g_inflight = reg.gauge(
+        ))
+        reg.gauge(
             "repro_portal_inflight_requests", "requests currently being handled"
-        )
+        ).set_fn(lambda: self.inflight)
 
     def bind_router(self, router) -> None:
         """Export the router's tier counters without touching its hot path."""
@@ -468,28 +505,28 @@ class PortalTelemetry:
         ).set_fn(lambda: len(sessions))
 
     # -- request lifecycle --------------------------------------------------
-    def request_started(self, request) -> Optional[Span]:
-        """Open the request trace; returns the root span (None when off).
+    def request_done(self, request, status: int, start: float, duration: float) -> None:
+        """Close the books on one request that began at ``start`` (registry
+        clock) and took ``duration`` seconds."""
+        route = request.route or "unmatched"
+        self.latency[route].observe(duration)
+        self.responses[status].inc()
+        self.requests.append((next(self._ids), start, duration, request.method,
+                              request.path, route, status, request.cache))
 
-        The span is also stashed on ``request.tspan`` so downstream
-        layers (the conditional-GET path) can annotate it without a
-        tracer lookup.
-        """
-        self.g_inflight.inc()
-        if not self.on:
-            return None
-        span = self.tracer.start("request", f"req-{next(self._req_ids)}")
-        span.set(method=request.method, path=request.path)
-        request.tspan = span
-        return span
-
-    def request_done(self, span: Optional[Span], route: str, status: int, dt: float) -> None:
-        """Close the books on one request."""
-        self.g_inflight.dec()
-        self.h_request.labels(route).observe(dt)
-        self.c_responses.labels(status).inc()
-        if span is not None:
-            span.finish(span.start + dt).set(route=route, status=status)
+    def recent_requests(self, n: int = 50) -> list[dict]:
+        """The newest ``n`` requests, oldest first, as request traces:
+        ``{"id", "trace": {"name", "start", "end", "duration_s", "attrs"}}``."""
+        out = []
+        for rid, start, duration, method, path, route, status, cache in list(self.requests)[-n:]:
+            attrs = {"method": method, "path": path}
+            if cache is not None:
+                attrs["cache"] = cache
+            attrs.update(route=route, status=status)
+            out.append({"id": f"req-{rid}", "trace": {
+                "name": "request", "start": start, "end": start + duration,
+                "duration_s": duration, "attrs": attrs}})
+        return out
 
     def portal_counters(self) -> dict:
         """The PR 2 ``stats()["portal"]`` counter block."""

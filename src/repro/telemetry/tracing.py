@@ -1,9 +1,10 @@
 """Span trees with explicit-context propagation.
 
 A :class:`Span` is one timed operation; its children are sub-operations.
-The portal records each request as one trace (``request`` with route,
-status and the cache outcome as attributes).  Job traces are *not*
-recorded anywhere: the distributor already stamps every lifecycle
+Nothing records spans as it runs.  Portal requests are kept as flat
+tuples in a bounded ring (:class:`~repro.telemetry.instruments.PortalTelemetry`),
+not as span trees.  Job traces are not recorded either: the
+distributor already stamps every lifecycle
 timestamp on the job object, so
 :meth:`DispatchTelemetry.job_trace` derives the span tree (root ``job``
 with ``queue_wait`` and per-``attempt`` children — retries appear as
@@ -15,19 +16,13 @@ pass it where it is needed.  There are deliberately no thread-locals —
 the DES simulator runs thousands of interleaved virtual timelines on
 one thread, so ambient context would attribute children to whichever
 trace touched the thread last.
-
-:class:`Tracer` is a bounded LRU of recent traces keyed by trace id
-(job id, request id).  It exists for *debugging*, not accounting: the
-cap keeps a long-running portal from accumulating one span tree per
-job forever, and aggregate numbers belong in the metrics registry.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span"]
 
 
 class Span:
@@ -85,32 +80,3 @@ class Span:
             out["children"] = [c.as_dict() for c in self.children]
         return out
 
-
-class Tracer:
-    """Bounded keep-latest store of root spans, keyed by trace id."""
-
-    def __init__(self, clock: Callable[[], float], capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.clock = clock
-        self.capacity = capacity
-        self._traces: "OrderedDict[str, Span]" = OrderedDict()
-
-    def start(self, name: str, trace_id: str, t: Optional[float] = None) -> Span:
-        """Open a new root span under ``trace_id``, evicting the oldest."""
-        span = Span(name, self.clock() if t is None else t)
-        traces = self._traces
-        traces[trace_id] = span
-        if len(traces) > self.capacity:
-            traces.popitem(last=False)
-        return span
-
-    def get(self, trace_id: str) -> Optional[Span]:
-        return self._traces.get(trace_id)
-
-    def ids(self) -> list[str]:
-        """Known trace ids, oldest first."""
-        return list(self._traces)
-
-    def __len__(self) -> int:
-        return len(self._traces)

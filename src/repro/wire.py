@@ -9,7 +9,9 @@ passes), ``dict``, ``dict[str, str]``, ``list[str]``, ``tuple[str, ...]``,
 fields, and ``X | None``.  A ``Callable`` has no wire form.
 
 :class:`Fields` checks an object against a declaration: a dataclass's
-fields or a function's parameters.  One null rule holds everywhere: a
+fields or a function's parameters, in one frame: a field of a plain type
+(a *leaf*: ``str``, ``int``, ``bool``, ``float``, ``dict``) is checked
+inline, and only the others call their codec.  One null rule holds everywhere: a
 ``null`` field is absent, an absent field takes its declared default,
 and a required field that is absent is refused.  Keys the declaration
 does not name are left to the caller.
@@ -47,20 +49,27 @@ class WireError(ValueError):
 
 class Codec(NamedTuple):
     """``decode`` checks and converts a JSON value; ``encode`` goes back
-    (``None``: the value is its own wire form)."""
+    (``None``: the value is its own wire form).  ``leaf`` is set when
+    ``decode`` checks the value's type and nothing else: the exact types
+    it takes and the name its message gives them."""
 
     decode: Callable[[Any], Any]
     encode: Optional[Callable[[Any], Any]]
+    leaf: Optional[tuple[tuple, str]] = None
 
 
 def _got(value: Any) -> str:
     return "null" if value is None else type(value).__name__
 
 
+def _must_be(expected: str, value: Any) -> str:
+    return f"must be {expected}, got {_got(value)}"
+
+
 def _checked(types: tuple, expected: str, convert: Optional[Callable] = None) -> Callable:
     def decode(value: Any) -> Any:
         if type(value) not in types:
-            raise WireError(f"must be {expected}, got {_got(value)}")
+            raise WireError(_must_be(expected, value))
         return value if convert is None else convert(value)
 
     return decode
@@ -72,7 +81,7 @@ def _strings(kind: type, pairs: Callable) -> Callable:
     def convert(value: Any) -> Any:
         for key, v in pairs(value):
             if type(v) is not str:
-                raise WireError(f"must be str, got {_got(v)}", f"[{key!r}]")
+                raise WireError(_must_be("str", v), f"[{key!r}]")
         return kind(value)
 
     return convert
@@ -89,7 +98,7 @@ _LEAVES = {str: (str,), int: (int,), bool: (bool,), float: (int, float), dict: (
 def codec(hint: Any) -> Codec:
     """The codec of a type hint; :class:`TypeError` for one with no wire form."""
     if hint in _LEAVES:
-        return Codec(_checked(_LEAVES[hint], hint.__name__), None)
+        return Codec(_checked(_LEAVES[hint], hint.__name__), None, (_LEAVES[hint], hint.__name__))
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
         return codec(args[0] if args[1] is NoneType else args[1])  # the null rule
@@ -122,23 +131,26 @@ class Fields:
     :data:`REQUIRED` as the default of a required field."""
 
     def __init__(self, declared: Iterable[tuple[str, Any, Any]]) -> None:
-        self._decoders, encoders, sparse = [], [], []
+        decoders, encoders, sparse = [], [], []
         for name, hint, default in declared:
-            decode, encode = codec(hint)
+            decode, encode, leaf = codec(hint)
             if get_origin(hint) in (Union, UnionType) and default is not None:
                 # null means "absent", so no wire value could reach None
                 raise TypeError(f"{name}: a nullable field must default to None")
-            self._decoders.append((name, decode, default is REQUIRED))
+            types, expected = leaf or (None, "")
+            decoders.append((name, default is REQUIRED, types, expected, decode))
             if encode is not None:
                 encoders.append((name, encode))
             wire_default = encode(default) if encode and default not in (None, REQUIRED) else default
             sparse.append((name, default, encode, wire_default))
-        self._encoders = tuple(encoders)
+        self._decoders = tuple(decoders)
+        #: ``(name, encode)`` of each field whose value is not its own wire form
+        self.encoders = tuple(encoders)
         self._sparse = tuple(sparse)
         #: field names, in declaration order
-        self.names = tuple(name for name, _, _ in self._decoders)
+        self.names = tuple(d[0] for d in decoders)
         #: the fields that must be present
-        self.required = tuple(name for name, _, required in self._decoders if required)
+        self.required = tuple(d[0] for d in decoders if d[1])
 
     @classmethod
     def of_parameters(cls, fn: Callable, params: Iterable[inspect.Parameter]) -> "Fields":
@@ -149,20 +161,25 @@ class Fields:
         """The declared fields of ``data``, checked and converted; absent and
         null fields are left out, so the declaration's defaults apply."""
         out = {}
-        for name, decode, required in self._decoders:
-            value = data.get(name)
-            if value is not None:
+        for name, required, types, expected, decode in self._decoders:
+            value = data[name] if name in data else None
+            if value is None:
+                if required:
+                    raise WireError("is required", name)
+            elif types is None:
                 try:
                     out[name] = decode(value)
                 except WireError as exc:
                     raise exc.under(name) from None
-            elif required:
-                raise WireError("is required", name)
+            elif type(value) in types:  # a leaf is checked here, not by a call
+                out[name] = value
+            else:
+                raise WireError(_must_be(expected, value), name)
         return out
 
     def encode(self, values: dict) -> dict:
         """``values`` with each non-null field in its wire form (in place)."""
-        for name, encode in self._encoders:
+        for name, encode in self.encoders:
             value = values.get(name)
             if value is not None:
                 values[name] = encode(value)

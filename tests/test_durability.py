@@ -502,6 +502,35 @@ class TestRecoveryPaths:
         assert "callable lost" in lost.error
         assert report.sealed_unrecoverable >= 1
 
+    def test_queued_callable_is_sealed_failed_and_the_boot_succeeds(self, tmp_path):
+        import threading
+
+        def boot():
+            store = DurabilityStore(tmp_path, fsync="never")
+            grid = Grid(ClusterSpec.small(segments=1, slaves=1, cores=1))
+            return recover_distributor(store, grid, CallableBackend(), retry=RETRY)
+
+        store = DurabilityStore(tmp_path, fsync="never")
+        grid = Grid(ClusterSpec.small(segments=1, slaves=1, cores=1))
+        dist = JobDistributor(grid, CallableBackend(), journal=JobJournal(store), retry=RETRY)
+        gate = threading.Event()
+        try:
+            running = dist.submit(JobRequest(name="running", callable=lambda j: gate.wait(10)))
+            queued = dist.submit(JobRequest(name="queued", callable=lambda j: "never ran"))
+            assert running.state is JobState.RUNNING and queued.state is JobState.QUEUED
+            # crash model: abandon the old process and boot from disk, twice
+            dist2, report = boot()
+            dist3, _ = boot()
+        finally:
+            gate.set()
+        assert report.sealed_unrecoverable == 2
+        for booted in (dist2, dist3):
+            for job in (running, queued):
+                lost = booted.job(job.id)
+                assert lost.state is JobState.FAILED
+                assert lost.error == "callable lost in restart (not journalable)"
+            assert booted.grid.cores_free == booted.grid.cores_total
+
     def test_new_submissions_never_collide_with_restored_ids(self, tmp_path):
         sim, grid, dist = des_env(tmp_path)
         old = [dist.submit(JobRequest(name=f"o{i}", sim_duration=1.0)).id for i in range(4)]

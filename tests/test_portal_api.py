@@ -153,6 +153,19 @@ class TestCompileAndJobs:
         job_id = resp["job"]["id"]
         assert student_client.cancel_job(job_id)
 
+    def test_a_job_the_backend_cannot_launch_fails_and_the_next_runs(self, student_client):
+        # the monolith's subprocess backend refuses a request with no argv
+        submit = student_client._call
+        job = submit("POST", "/api/jobs", {"name": "sim", "sim_duration": 1.0})["job"]
+        desc = student_client.wait_for_job(job["id"], timeout=10)
+        assert desc["state"] == "failed"
+        assert desc["error"].startswith("launch failed: ") and "has no argv" in desc["error"]
+        echo = submit("POST", "/api/jobs", {"name": "echo", "argv": ["/bin/echo", "hi"]})["job"]
+        desc = student_client.wait_for_job(echo["id"], timeout=30)
+        assert desc["state"] == "completed"
+        assert student_client.job_output(echo["id"])["stdout"] == ["hi"]
+        assert student_client.cluster_status()["grid"]["cores_free"] == 8
+
     def test_unknown_job_404(self, student_client):
         with pytest.raises(PortalError, match="404"):
             student_client.job("job-000000")

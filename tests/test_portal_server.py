@@ -59,6 +59,23 @@ def _exchange(httpd, raw: bytes) -> tuple[int, dict, bytes]:
     return int(lines[0].split()[1]), headers, body
 
 
+def _exchange_in_writes(httpd, *parts: bytes) -> tuple[int, dict, bytes]:
+    """Like :func:`_exchange`, sending ``parts`` in separate writes with a pause."""
+    with socket.create_connection(httpd.server_address, timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i, part in enumerate(parts):
+            if i:
+                time.sleep(0.05)  # the server has read what came so far
+            sock.sendall(part)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
 def _get(httpd, path: str, headers: str = "") -> tuple[int, dict, bytes]:
     return _exchange(httpd, f"GET {path} HTTP/1.0\r\n{headers}\r\n".encode())
 
@@ -105,8 +122,9 @@ class TestRequestParsing:
 
     def test_more_than_100_headers_gets_431(self, start):
         httpd = start(_echo)
-        hundred = "".join(f"X-H{i}: v\r\n" for i in range(100))
-        assert _get(httpd, "/", hundred)[0] == 200
+        hundred = "".join(f"X-H{i}: v{i}\r\n" for i in range(100))
+        status, _, body = _get(httpd, "/", hundred)
+        assert status == 200 and json.loads(body)["HTTP_X_H99"] == "v99"
         assert _get(httpd, "/", hundred + "X-One-Too-Many: v\r\n")[0] == 431
 
     def test_overlong_header_line_gets_431(self, start):
@@ -126,6 +144,23 @@ class TestRequestParsing:
         seen = json.loads(body)
         assert seen["PATH_INFO"] == "/api/files/my lab/main.c"
         assert seen["QUERY_STRING"] == "name=a%20b"  # the app decodes the query itself
+
+    def test_a_head_in_two_writes_is_read_whole(self, start):
+        httpd = start(_echo)
+        status, _, body = _exchange_in_writes(
+            httpd, b"GET /split?q=1 HTTP/1.0\r\n", b"X-Late: yes\r\nAccept: */*\r\n\r\n")
+        seen = json.loads(body)
+        assert status == 200 and seen["PATH_INFO"] == "/split" and seen["QUERY_STRING"] == "q=1"
+        assert seen["HTTP_X_LATE"] == "yes" and seen["HTTP_ACCEPT"] == "*/*"
+
+    def test_a_body_split_across_writes_is_read_to_its_length(self, start):
+        def app(environ, start_response):
+            return Response(Request(environ).body).to_wsgi(start_response)
+
+        httpd = start(app)
+        head = b"POST /x HTTP/1.0\r\nContent-Type: text/plain\r\nContent-Length: 11\r\n\r\n"
+        status, _, body = _exchange_in_writes(httpd, head + b"hello", b" world")
+        assert status == 200 and body == b"hello world"
 
     def test_content_headers_keep_their_cgi_names(self, start):
         httpd = start(_echo)
@@ -209,6 +244,17 @@ class TestResponses:
 
 
 class TestErrors:
+    def test_a_connection_closed_before_its_first_byte_gets_nothing(self, start, capsys):
+        httpd = start(_echo)
+        done = _watch_connections(httpd)
+        errors = _record_errors(httpd)
+        with socket.create_connection(httpd.server_address, timeout=10) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1024) == b""  # closed without a response
+        assert done.acquire(timeout=10)
+        assert errors == [] and capsys.readouterr().err == ""
+        assert _get(httpd, "/")[0] == 200
+
     def test_app_that_raises_gets_500_and_the_server_keeps_serving(self, start, capsys):
         def app(environ, start_response):
             if environ["PATH_INFO"] == "/boom":

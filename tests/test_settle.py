@@ -40,6 +40,13 @@ class ManualBackend(ExecutionBackend):
         return handle
 
 
+class RaisingBackend(ExecutionBackend):
+    """Every launch raises, as a backend given a request it cannot run does."""
+
+    def launch(self, job):
+        raise RuntimeError("no such program")
+
+
 def report(handle: ExecutionHandle, exit_code: int, error: str | None = None) -> None:
     handle.finish(exit_code, error)
 
@@ -135,6 +142,29 @@ class TestOneSettlePath:
             assert dependent.state is JobState.QUEUED
         assert dependent.state is JobState.CANCELLED
         assert dist.control_state()["version"] > before["version"]
+
+
+    def test_a_launch_that_raises_ends_the_attempt_failed(self, tmp_path):
+        store = DurabilityStore(tmp_path, fsync="never")
+        grid = Grid(ClusterSpec.small(segments=1, slaves=2, cores=1))
+        dist = JobDistributor(
+            grid, RaisingBackend(), track_health=False, journal=JobJournal(store),
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0, jitter=0.0),
+        )
+        job = dist.submit(JobRequest(name="broken", argv=["true"]))
+        assert dist.wait_all(5)
+        assert job.state is JobState.FAILED
+        assert job.error == "launch failed: no such program"
+        assert [a.outcome for a in job.attempts] == ["failed", "failed"]  # retried, then sealed
+        assert grid.cores_free == grid.cores_total
+        assert not dist._running and not dist._handles
+        store.close()
+        store = DurabilityStore(tmp_path, fsync="never")
+        snapshot, records, _ = store.recover()
+        store.close()
+        wire = replay(snapshot, records)[job.id]
+        assert wire["state"] == "failed" and wire["error"] == job.error
+        assert [a["outcome"] for a in wire["attempts"]] == ["failed", "failed"]
 
 
 class TestConcurrentSettling:

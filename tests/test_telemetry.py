@@ -33,7 +33,7 @@ from repro.telemetry import (
     EventLog,
     MetricsRegistry,
     NullRegistry,
-    Tracer,
+    Span,
     default_buckets,
     render_json,
     render_prometheus,
@@ -205,9 +205,7 @@ class TestExport:
 # ---------------------------------------------------------------------------
 class TestTracerAndEvents:
     def test_span_tree_and_durations(self):
-        t = {"now": 0.0}
-        tracer = Tracer(lambda: t["now"])
-        root = tracer.start("job", "j-1")
+        root = Span("job", 0.0)
         child = root.child("attempt-1", 1.0).set(node="n0")
         assert child.duration is None  # still open
         child.finish(3.0)
@@ -217,14 +215,6 @@ class TestTracerAndEvents:
         assert d["children"][0]["name"] == "attempt-1"
         assert d["children"][0]["attrs"] == {"node": "n0"}
         assert d["children"][0]["duration_s"] == pytest.approx(2.0)
-
-    def test_tracer_evicts_oldest(self):
-        tracer = Tracer(lambda: 0.0, capacity=2)
-        for i in range(3):
-            tracer.start("job", f"j-{i}")
-        assert len(tracer) == 2
-        assert tracer.get("j-0") is None
-        assert tracer.get("j-2") is not None
 
     def test_event_log_ring_and_filter(self):
         log = EventLog(lambda: 0.0, capacity=3)
@@ -478,3 +468,45 @@ class TestTraceEndpoint:
         status, _, body = wsgi_get(app, f"/jobs/{job.id}", client._token)
         assert status == 200
         assert f"/debug/trace/{job.id}" in body.decode()
+
+
+class TestRecentRequestsEndpoint:
+    def test_admin_sees_the_newest_50_requests_newest_last(self, portal):
+        app, client = portal
+        token = client._token
+        for i in range(60):
+            assert wsgi_get(app, f"/api/jobs/none-{i}", token)[0] == 404
+        _, headers, _ = wsgi_get(app, "/api/cluster/status", token)
+        etag = {"HTTP_IF_NONE_MATCH": headers["ETag"]}
+        assert wsgi_get(app, "/api/cluster/status", token, etag)[0] == 304
+
+        status, _, body = wsgi_get(app, "/debug/requests", token)
+        assert status == 200
+        rows = json.loads(body)["requests"]
+        assert len(rows) == 50
+        ids = [int(row["id"].removeprefix("req-")) for row in rows]
+        assert ids == list(range(ids[0], ids[0] + 50))  # oldest first, none skipped
+        paths = [row["trace"]["attrs"]["path"] for row in rows]
+        # the 51st-newest request is gone
+        assert paths[0] == "/api/jobs/none-12" and "/api/jobs/none-11" not in paths
+        assert paths[-2:] == ["/api/cluster/status"] * 2
+        for row in rows:
+            trace = row["trace"]
+            assert trace["name"] == "request"
+            assert trace["duration_s"] >= 0
+            assert trace["end"] == pytest.approx(trace["start"] + trace["duration_s"])
+        assert rows[0]["trace"]["attrs"] == {
+            "method": "GET", "path": "/api/jobs/none-12",
+            "route": "/api/jobs/<job_id>", "status": 404,
+        }
+        miss, hit = (row["trace"]["attrs"] for row in rows[-2:])
+        assert miss == {"method": "GET", "path": "/api/cluster/status", "cache": "miss",
+                        "route": "/api/cluster/status", "status": 200}
+        assert hit == {**miss, "cache": "hit", "status": 304}
+
+    def test_a_student_is_refused(self, portal):
+        app, client = portal
+        client.create_user("stu", "student-pass")
+        student = PortalClient(app=app)
+        student.login("stu", "student-pass")
+        assert wsgi_get(app, "/debug/requests", student._token)[0] == 403
