@@ -9,6 +9,9 @@ the same on every run of the same interpreter:
 * **cache hit**: one conditional read through a fleet worker's WSGI
   call, averaged over the four reads a poller cycles through (cluster
   status, job list, describe, output), each answered 304;
+* **sealed read**: one conditional read of a finished job's describe or
+  output page by its owner, answered 304 from the page the worker
+  rendered when the job was sealed; it must make no port call;
 * **port call**: one :class:`~repro.bus.proxy.ClusterProxy` call over
   the in-process bus (``output_fingerprint``);
 * **HTTP server**: one request through the server's ``finish_request``
@@ -30,6 +33,7 @@ import itertools
 import pstats
 import socket
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -47,8 +51,10 @@ from repro.portal.server import _PortalServer
 pytestmark = pytest.mark.perf
 
 #: guarded count → ceiling in Python calls per operation: the counts when
-#: the guard was set (CPython 3.11: 129.25, 34, 33), plus 10%
-CEILINGS = {"cache_hit": 142, "port_call": 37, "http_server": 36}
+#: the guard was set (CPython 3.11: 116.25, 107.5, 34, 33), plus 10%; the
+#: sealed reads make no port call at all
+CEILINGS = {"cache_hit": 128, "sealed_read": 118, "sealed_port_calls": 0,
+            "port_call": 37, "http_server": 36}
 
 #: calls counted per operation (a multiple of the four reads, so each
 #: read is counted as often); ``--ci`` counts fewer, to the same average
@@ -91,17 +97,17 @@ def _fleet() -> tuple[FrontendFleet, str, str]:
     fleet.users.add_user("alice", "secret123")
     client = PortalClient(app=fleet.workers[0])
     client.login("alice", "secret123")
+    sealed = threading.Event()  # set once the worker holds the job's sealed pages
+    dist.on_sealed(lambda _job: sealed.set())
     job = dist.submit(JobRequest(name="hello", owner="alice",
                                  callable=lambda job: job.stdout.write_line("hello")))
-    assert dist.wait_all(timeout=10.0)
+    assert sealed.wait(timeout=10.0)
     return fleet, client._token, job.id
 
 
-def _reads(worker, token: str, job_id: str):
+def _reads(worker, token: str, paths: tuple):
     """``setup`` and ``teardown`` for :func:`_calls` that cycle ``worker``
-    through the four conditional reads, each of which must answer 304."""
-    paths = ("/api/cluster/status", "/api/jobs", f"/api/jobs/{job_id}",
-             f"/api/jobs/{job_id}/output")
+    through conditional reads of ``paths``, each of which must answer 304."""
     answer: dict = {}
 
     def start_response(status, headers, exc_info=None):
@@ -154,13 +160,18 @@ def measure(rounds: int = ROUNDS) -> dict:
     fleet, token, job_id = _fleet()
     try:
         worker = fleet.workers[0]
-        setup, teardown = _reads(worker, token, job_id)
+        pages = (f"/api/jobs/{job_id}", f"/api/jobs/{job_id}/output")
+        setup, teardown = _reads(worker, token, ("/api/cluster/status", "/api/jobs", *pages))
         hit = _calls(worker, setup, teardown, rounds)
         worker.telemetry.on = False
         try:
             untraced = _calls(worker, setup, teardown, rounds)
         finally:
             worker.telemetry.on = True
+        setup, teardown = _reads(worker, token, pages)
+        rpc_calls = worker.proxy.rpc.calls
+        sealed = _calls(worker, setup, teardown, rounds)
+        sealed_port_calls = worker.proxy.rpc.calls - rpc_calls
         port = _calls(lambda: worker.proxy.output_fingerprint("alice", job_id), rounds=rounds)
         session = _calls(lambda: worker.sessions.peek(token), rounds=rounds)
     finally:
@@ -171,13 +182,16 @@ def measure(rounds: int = ROUNDS) -> dict:
                       _connection, _hang_up, rounds)
     finally:
         httpd.server_close()
-    return {"cache_hit": hit, "port_call": port, "http_server": http,
+    return {"cache_hit": hit, "sealed_read": sealed, "sealed_port_calls": sealed_port_calls,
+            "port_call": port, "http_server": http,
             "telemetry": hit - untraced, "session_check": session}
 
 
 def _render(counts: dict, rounds: int) -> tuple[str, list]:
     rows = [
         ("cache_hit", "cache-hit read, fleet worker's WSGI call"),
+        ("sealed_read", "sealed-job read by its owner, WSGI call"),
+        ("sealed_port_calls", "  port calls made by those sealed reads"),
         ("port_call", "one ClusterProxy port call over the bus"),
         ("http_server", "one request through finish_request"),
         ("telemetry", "  of the cache hit: request telemetry"),
@@ -188,9 +202,10 @@ def _render(counts: dict, rounds: int) -> tuple[str, list]:
     metrics = []
     for key, label in rows:
         ceiling = CEILINGS.get(key)
-        lines.append(f"{label:<46} {counts[key]:>8.2f} {ceiling if ceiling else '':>8}")
+        shown = "" if ceiling is None else ceiling
+        lines.append(f"{label:<46} {counts[key]:>8.2f} {shown:>8}")
         metric = {"metric": key, "value": counts[key], "unit": "calls"}
-        if ceiling:
+        if ceiling is not None:
             metric.update(threshold=ceiling, op="<=")
         metrics.append(metric)
     return "\n".join(lines), metrics

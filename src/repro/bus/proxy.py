@@ -13,7 +13,8 @@ types back onto the local exception classes the portal's HTTP error
 table already understands, so a front-end handler body is
 indistinguishable from the in-process one.  Spec applies that change a
 portal stanza arrive on the ``cluster.spec.applied`` topic
-(:meth:`ClusterProxy.on_spec_applied`).
+(:meth:`ClusterProxy.on_spec_applied`), and a sealed job's pages on the
+``cluster.jobs.sealed`` topic (:meth:`ClusterProxy.on_job_sealed`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,14 @@ from repro._errors import (
     SpecError,
 )
 from repro.bus.core import MessageBus
-from repro.bus.rpc import RpcClient
-from repro.bus.service import DEFAULT_SERVICE_QUEUE, PORT_CALLS, SPEC_TOPIC, PortCall
+from repro.bus.rpc import RpcClient, decode_wire
+from repro.bus.service import (
+    DEFAULT_SERVICE_QUEUE,
+    PORT_CALLS,
+    SEALED_TOPIC,
+    SPEC_TOPIC,
+    PortCall,
+)
 
 __all__ = ["ClusterProxy"]
 
@@ -66,6 +73,17 @@ class ClusterProxy:
             listener(event["spec"], event["ops"])
 
         self.rpc.bus.subscribe(SPEC_TOPIC, deliver)
+
+    def on_job_sealed(self, listener: Callable[[str, str, dict, dict], None]) -> None:
+        """Call ``listener(job_id, owner, describe, output)`` once for every
+        job sealed from now on, with the pages decoded from the wire text
+        the back end published."""
+
+        def deliver(payload: str) -> None:
+            event = decode_wire(payload)
+            listener(event["job"], event["owner"], event["describe"], event["output"])
+
+        self.rpc.bus.subscribe(SEALED_TOPIC, deliver)
 
     def service_stats(self) -> dict:
         try:

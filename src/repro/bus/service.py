@@ -19,7 +19,11 @@ submission, a known ``min_severity``, and the ``manage_cluster``
 capability a reconfigure asserts.  A spec apply that changes a portal
 stanza (admission, toolchains) reaches each app through
 :meth:`LocalCluster.on_spec_applied`; the back-end service republishes
-it on :data:`SPEC_TOPIC` for the workers.
+it on :data:`SPEC_TOPIC` for the workers.  In the same way a sealed job's
+describe and output pages reach each app once, at the seal, through
+:meth:`LocalCluster.on_job_sealed`, republished on :data:`SEALED_TOPIC`:
+a sealed job never changes again, so an app can serve its owner's reads
+of it with no port call.
 
 :class:`ClusterBackendService` is the only thing on the cluster side of
 the bus.  It registers one generic handler per :data:`CLUSTER_PORT`
@@ -50,7 +54,7 @@ from typing import Any, Callable, get_origin, get_type_hints
 
 from repro._errors import AuthorizationError, BusError, JobError, SpecError
 from repro.bus.core import MessageBus
-from repro.bus.rpc import RpcServer
+from repro.bus.rpc import RpcServer, encode_wire
 from repro.cluster.distributor import JobDistributor
 from repro.cluster.job import Job, JobKind, JobRequest
 from repro.spec import Reconfigurer
@@ -58,12 +62,15 @@ from repro.telemetry.events import SEVERITIES
 from repro.wire import Fields
 
 __all__ = ["CLUSTER_PORT", "ClusterBackendService", "DEFAULT_SERVICE_QUEUE", "LocalCluster",
-           "PORT_CALLS", "PortCall", "SPEC_TOPIC"]
+           "PORT_CALLS", "PortCall", "SEALED_TOPIC", "SPEC_TOPIC"]
 
 DEFAULT_SERVICE_QUEUE = "cluster.backend"
 
 #: bus topic carrying every applied spec that changes a portal stanza
 SPEC_TOPIC = "cluster.spec.applied"
+
+#: bus topic carrying every sealed job's describe and output pages
+SEALED_TOPIC = "cluster.jobs.sealed"
 
 #: plan ops the portal applies to itself, not the cluster
 _PORTAL_OPS = ("set_admission", "set_toolchains")
@@ -82,6 +89,7 @@ class LocalCluster:
         #: declarative-spec management: the one Reconfigurer per distributor
         self.reconfigurer = Reconfigurer(distributor)
         self._spec_listeners: list[Callable[[dict, list], None]] = []
+        self._sealed_listeners: list[Callable[[str, str, dict, dict], None]] = []
         #: job id → finished exploration report dict.
         self._explore_reports: dict[str, dict] = {}
 
@@ -150,6 +158,25 @@ class LocalCluster:
         """Call ``listener(doc, ops)`` after every apply whose plan changes a
         portal stanza; ``ops`` are those plan ops."""
         self._spec_listeners.append(listener)
+
+    def on_job_sealed(self, listener: Callable[[str, str, dict, dict], None]) -> None:
+        """Call ``listener(job_id, owner, describe, output)`` once for every
+        job sealed from now on, outside the distributor's lock.
+
+        ``describe`` and ``output`` are what :meth:`describe` and
+        ``output_since(owner, job_id, 0)`` answer for the sealed job, which
+        never changes again.
+        """
+        if not self._sealed_listeners:
+            self.distributor.on_sealed(self._job_sealed)
+        self._sealed_listeners.append(listener)
+
+    def _job_sealed(self, job: Job) -> None:
+        owner = job.request.owner
+        describe = self.describe(owner, job.id)
+        output = self.output_since(owner, job.id, 0)
+        for listener in self._sealed_listeners:
+            listener(job.id, owner, describe, output)
 
     # -- observability --------------------------------------------------------
     def events(self, min_severity: str | None = None, view_all: bool = False) -> list[dict]:
@@ -403,6 +430,12 @@ class ClusterBackendService:
         self.cluster = cluster = LocalCluster(distributor)
         cluster.on_spec_applied(
             lambda doc, ops: bus.publish(SPEC_TOPIC, dumps({"spec": doc, "ops": ops}))
+        )
+        # the pages travel as the wire text their pull-path replies would be
+        cluster.on_job_sealed(
+            lambda job_id, owner, describe, output: bus.publish(SEALED_TOPIC, encode_wire(
+                {"job": job_id, "owner": owner, "describe": describe, "output": output}
+            ))
         )
         self.reply_latency_s = reply_latency_s
         self.server = RpcServer(bus, service_queue, reply_latency_s)

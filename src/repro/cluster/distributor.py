@@ -211,6 +211,10 @@ class JobDistributor:
         self.fleet = None
         if journal is not None:
             journal.bind(self.telemetry.registry, clock=self.now_fn)
+        #: called with each job once it is sealed, outside the lock
+        self._sealed_listeners: list[Callable[[Job], None]] = []
+        #: jobs sealed (lock held) and not yet handed to those listeners
+        self._sealed: list[Job] = []
 
     # -- submission -----------------------------------------------------------
     def submit(self, request: JobRequest) -> Job:
@@ -308,7 +312,18 @@ class JobDistributor:
         and returns 0 — the in-flight loop picks the work up.  A round
         that raises re-raises here and arms a wake-up ``_REDISPATCH_S``
         later, so the queue is tried again with no other trigger.
+
+        Every public entry that can seal a job (a completion, a cancel, a
+        node failure, a deadline, recovery) ends here, so this is where
+        the sealed jobs reach the :meth:`on_sealed` listeners.
         """
+        try:
+            return self._drain()
+        finally:
+            self._publish_sealed()
+
+    def _drain(self) -> int:
+        """:meth:`dispatch`'s scheduling rounds."""
         with self._lock:
             self._counters["requests"] += 1
             self._dirty = True
@@ -575,23 +590,57 @@ class JobDistributor:
     def _seal(self, job: Job, state: JobState, error: Optional[str]) -> None:
         """Move ``job`` to the terminal ``state`` and account for it (lock held).
 
-        The streams close before the transition, so whoever sees a
-        terminal state sees closed streams; then the finish time, the
-        journal seal, the accounting record, and a wake-up for dependents
-        and :meth:`wait_all`.
+        The streams close and the error and finish time are set before
+        the transition, so whoever sees a terminal state (a describe read
+        without the lock) sees the job as it will stay; then the journal
+        seal, the accounting record, and a wake-up for dependents and
+        :meth:`wait_all`.  The :meth:`on_sealed` listeners get the job
+        once the lock is released (:meth:`dispatch`).
         """
         job.stdout.close()
         job.stderr.close()
         job.stdin.close()
         job.error = error
-        job.transition(state)
         job.finished_at = self.now_fn()
+        job.transition(state)
         if self.journal is not None:
             self.journal.record_seal(job)
         self.monitor.record_job(job)
         self._version += 1
         self._dirty = True
         self._idle.notify_all()
+        if self._sealed_listeners:
+            self._sealed.append(job)
+
+    def on_sealed(self, listener: Callable[[Job], None]) -> None:
+        """Call ``listener(job)`` once for every job sealed from now on.
+
+        A job is handed over at its final seal only (a retried attempt is
+        not one), after the lock is released, by the thread that sealed
+        it; the job never changes again.  The listener may call back into
+        the distributor.  One that raises loses its own delivery only.
+        """
+        self._sealed_listeners.append(listener)
+
+    def _publish_sealed(self) -> None:
+        """Hand the jobs sealed so far to the :meth:`on_sealed` listeners.
+
+        Never under the lock: while this thread holds it (a completion
+        reported inside a launch), the outermost :meth:`dispatch`
+        publishes once it has let go.
+        """
+        if not self._sealed or self._lock._is_owned():
+            return
+        with self._lock:
+            sealed, self._sealed = self._sealed, []
+        for job in sealed:
+            for listener in self._sealed_listeners:
+                try:
+                    listener(job)
+                except Exception as exc:  # noqa: BLE001 - the seal stands
+                    self.telemetry.events.emit(
+                        "error", "sealed_listener_failed", job=job.id, error=repr(exc)
+                    )
 
     # -- retry decisions --------------------------------------------------------
     def _should_retry(self, job: Job, failure_class: str) -> bool:

@@ -34,13 +34,13 @@ class StreamCapture:
         self._lines: Deque[str] = deque()
         self._first_index = 0  # absolute index of _lines[0]
         self._lock = threading.Lock()
-        self._closed = threading.Event()
+        self._closed = False
 
     # -- producer side ------------------------------------------------------
     def write_line(self, line: str) -> None:
         """Append one line (newline-stripped)."""
         with self._lock:
-            if self._closed.is_set():
+            if self._closed:
                 return  # late writes after close are dropped silently
             self._lines.append(line.rstrip("\n"))
             if len(self._lines) > self.max_lines:
@@ -54,12 +54,14 @@ class StreamCapture:
 
     def close(self) -> None:
         """Mark the stream finished (process exited)."""
-        self._closed.set()
+        with self._lock:
+            self._closed = True
 
     # -- consumer side -------------------------------------------------------
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        with self._lock:
+            return self._closed
 
     @property
     def next_index(self) -> int:

@@ -58,7 +58,10 @@ HTML pages: ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``,
 
 A spec apply that changes the admission or toolchains stanza reaches
 every app over the port (``on_spec_applied``), and each retunes its own
-admission controller and toolchain registry.
+admission controller and toolchain registry.  A sealed job's describe
+and output pages reach every app the same way (``on_job_sealed``); each
+renders them once into its response cache, so its owner's reads of a
+finished job make no port call.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from repro.portal.auth import User, UserStore
 from repro.portal.files import FileManager
 from repro.portal.http import HttpError, Request, Response
 from repro.portal.jobsvc import JobService
-from repro.portal.respcache import ResponseCache, conditional_get
+from repro.portal.respcache import ResponseCache, cached, conditional_get, serve
 from repro.portal.routing import Router
 from repro.portal.sessions import SessionStore
 from repro.spec import build_admission, build_toolchains, validate as validate_spec
@@ -195,6 +198,7 @@ class PortalApp:
             lambda username: self.cache.invalidate(f"files:{username}")
         )
         proxy.on_spec_applied(self._apply_portal_stanzas)
+        proxy.on_job_sealed(self._store_sealed_pages)
         self._register_routes()
 
     # -- WSGI entry ---------------------------------------------------------
@@ -273,6 +277,26 @@ class PortalApp:
         invalidation can never be clobbered by a stale render.
         """
         return conditional_get(self.cache, self._counters, req, namespace, key, build)
+
+    def _store_sealed_pages(self, job_id: str, owner: str, describe: dict, output: dict) -> None:
+        """Render a sealed job's describe and output pages once, at the seal.
+
+        The key holds the owner, so only the owner's own read finds them
+        (:meth:`_sealed_page`); every other read takes the port path.  An
+        entry the LRU evicts, or one too large to store, falls back to it too.
+        """
+        for kind, page in (("describe", describe), ("output", output)):
+            self.cache.store("sealed", (kind, job_id, owner), cached(Response.json(page)))
+
+    def _sealed_page(self, req: Request, kind: str, job_id: str, user: User) -> Optional[Response]:
+        """``user``'s sealed ``kind`` page of ``job_id`` from the cache, with
+        no port call, or None (not sealed, not theirs, or evicted)."""
+        entry = self.cache.peek("sealed", (kind, job_id, user.username))
+        if entry is None:
+            return None
+        self._counters["cache_hits"].inc()
+        req.cache = "sealed"
+        return serve(entry, self._counters, req)
 
     def _stream_counted(self, chunks):
         """Pass chunks through while counting bytes for ``stats()``."""
@@ -470,6 +494,9 @@ class PortalApp:
     def _api_get_job(self, req: Request) -> Response:
         user = self._require_user(req)
         job_id = req.params["job_id"]
+        sealed = self._sealed_page(req, "describe", job_id, user)
+        if sealed is not None:
+            return sealed
         view_all = user.can("view_all_jobs")
         fp = self.proxy.output_fingerprint(user.username, job_id, view_all)
         key = ("describe", job_id, fp)
@@ -487,10 +514,15 @@ class PortalApp:
             since = int(req.query.get("since", "0"))
         except ValueError:
             raise HttpError(400, "since must be an integer") from None
+        if since == 0:
+            sealed = self._sealed_page(req, "output", job_id, user)
+            if sealed is not None:
+                return sealed
         view_all = user.can("view_all_jobs")
-        # the fingerprint doubles as the ownership check: it raises
-        # AuthorizationError before any cached bytes could leak, and the
-        # key self-versions, so a quiet job serves 304s to its pollers
+        # on this pull path the fingerprint doubles as the ownership check:
+        # it raises AuthorizationError before any cached bytes could leak,
+        # and the key self-versions, so a quiet job serves 304s to its
+        # pollers (a sealed page needs no check: it is keyed by its owner)
         fp = self.proxy.output_fingerprint(user.username, job_id, view_all)
         key = ("output", job_id, since, fp)
         return self._conditional(

@@ -17,7 +17,16 @@ response body plus its ETag, keyed by ``(namespace, generation, key)``:
 
 Mutation hooks (``FileManager.on_mutation``, job-state transitions via
 the distributor's ``version``) call :meth:`invalidate`; readers call
-:meth:`lookup`/:meth:`store`.  All operations are O(1) under one lock —
+:meth:`lookup`/:meth:`store`.
+
+One namespace is never invalidated: ``sealed`` holds a finished job's
+describe and output pages, pushed by the back end at the job's seal and
+keyed by ``(page kind, job id, owner)``.  A sealed job never changes
+again, so those bytes stay right for good; the portal probes them with
+:meth:`peek` (a miss is not counted: the read's fallback does its own
+lookup), and an entry the LRU evicts falls back to the port path.
+
+All operations are O(1) under one lock —
 the critical section is a dict probe and an LRU pointer move, so even
 under heavy concurrent polling the lock is never held across I/O or
 serialisation.
@@ -32,7 +41,7 @@ from typing import Any, Hashable, Optional
 
 from repro.portal.http import Response
 
-__all__ = ["CachedResponse", "ResponseCache", "conditional_get"]
+__all__ = ["CachedResponse", "ResponseCache", "cached", "conditional_get", "serve"]
 
 
 class CachedResponse:
@@ -118,6 +127,20 @@ class ResponseCache:
     def lookup(self, namespace: str, key: Hashable) -> Optional[CachedResponse]:
         return self.lookup_versioned(namespace, key)[0]
 
+    def peek(self, namespace: str, key: Hashable) -> Optional[CachedResponse]:
+        """Like :meth:`lookup`, but a miss is not counted.
+
+        For a probe with a fallback that does its own :meth:`lookup`: a
+        request then counts one hit or one miss, never two lookups.
+        """
+        with self._lock:
+            full = (namespace, self._gens.get(namespace, 0), key)
+            entry = self._entries.get(full)
+            if entry is not None:
+                self._entries.move_to_end(full)
+                self._hits += 1
+            return entry
+
     def lookup_versioned(
         self, namespace: str, key: Hashable
     ) -> tuple[Optional[CachedResponse], int]:
@@ -187,6 +210,25 @@ class ResponseCache:
             }
 
 
+def cached(resp: Response) -> CachedResponse:
+    """``resp``'s cache entry: its body, content type, other headers and ETag."""
+    etag = f'"{hashlib.blake2b(resp.body, digest_size=8).hexdigest()}"'
+    # Content-Type is always first
+    return CachedResponse(resp.body, etag, resp.headers[0][1], tuple(resp.headers[1:]))
+
+
+def serve(entry: CachedResponse, counters, req) -> Response:
+    """A cache hit's answer: a 304 when ``If-None-Match`` covers its ETag."""
+    if req.etag_matches(entry.etag):
+        counters["not_modified"].inc()
+        return Response.not_modified(headers=(("ETag", entry.etag),))
+    return Response(
+        entry.body,
+        content_type=entry.content_type,
+        headers=(*entry.headers, ("ETag", entry.etag)),
+    )
+
+
 def conditional_get(cache, counters, req, namespace: str, key, build) -> "Response":
     """Serve a cacheable GET with an ETag, honouring ``If-None-Match``.
 
@@ -202,28 +244,12 @@ def conditional_get(cache, counters, req, namespace: str, key, build) -> "Respon
     if entry is not None:
         counters["cache_hits"].inc()
         req.cache = "hit"
-        if req.etag_matches(entry.etag):
-            counters["not_modified"].inc()
-            return Response.not_modified(headers=(("ETag", entry.etag),))
-        return Response(
-            entry.body,
-            content_type=entry.content_type,
-            headers=(*entry.headers, ("ETag", entry.etag)),
-        )
+        return serve(entry, counters, req)
     counters["cache_misses"].inc()
     req.cache = "miss"
     resp = build()
     if resp.status == 200 and resp.chunks is None:
-        etag = f'"{hashlib.blake2b(resp.body, digest_size=8).hexdigest()}"'
-        content_type = resp.headers[0][1]  # Content-Type is always first
-        cache.store(
-            namespace,
-            key,
-            CachedResponse(resp.body, etag, content_type, tuple(resp.headers[1:])),
-            generation=gen,
-        )
-        resp.headers.append(("ETag", etag))
-        if req.etag_matches(etag):
-            counters["not_modified"].inc()
-            return Response.not_modified(headers=(("ETag", etag),))
+        entry = cached(resp)
+        cache.store(namespace, key, entry, generation=gen)
+        return serve(entry, counters, req)
     return resp

@@ -14,6 +14,7 @@ bound under churn.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import json
 import os
@@ -41,6 +42,9 @@ class SessionStore:
         sweep_interval_s: float = 60.0,
     ) -> None:
         self._secret = secret or secrets.token_bytes(32)
+        #: keyed once: :meth:`_sign` copies it, where ``hmac.digest`` would
+        #: look the digest up by name and key a fresh HMAC on every call
+        self._keyed = hmac.new(self._secret, digestmod=hashlib.sha256)
         self.ttl_s = ttl_s
         self._now = now_fn
         self._shards: list[dict[str, tuple[float, dict[str, Any]]]] = [
@@ -68,8 +72,9 @@ class SessionStore:
 
     # -- token crypto -------------------------------------------------------
     def _sign(self, sid: str) -> str:
-        # hmac.digest is the one-shot C HMAC: the same bytes as hmac.new's
-        return hmac.digest(self._secret, sid.encode(), "sha256").hex()[:32]
+        mac = self._keyed.copy()
+        mac.update(sid.encode())
+        return mac.hexdigest()[:32]
 
     def _token(self, sid: str) -> str:
         return f"{sid}.{self._sign(sid)}"

@@ -1,5 +1,8 @@
 """User store and session store units."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro._errors import AuthenticationError, AuthorizationError
@@ -113,6 +116,14 @@ class TestSessionStore:
         token = SessionStore().create({"u": "x"})
         with pytest.raises(AuthenticationError):
             SessionStore().get(token)  # different secret
+
+    def test_token_signature_is_the_truncated_sha256_hmac_of_its_id(self):
+        secret = bytes(range(32))
+        store = SessionStore(secret=secret)
+        # twice: signing one token leaves the store's keyed state as it was
+        for username in ("alice", "bob"):
+            sid, _, sig = store.create({"username": username}).partition(".")
+            assert sig == hmac.new(secret, sid.encode(), hashlib.sha256).hexdigest()[:32]
 
     def test_destroy_logs_out(self):
         store = SessionStore()

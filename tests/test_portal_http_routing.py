@@ -1,6 +1,9 @@
 """HTTP layer and router units."""
 
+import datetime
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +104,26 @@ class TestResponse:
         assert cap["status"].startswith("200")
         assert b'"ok"' in body
         assert ("Content-Type", "application/json") in cap["headers"]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"id": "job-000001", "name": "hello", "owner": "alice", "state": "completed",
+             "placement": {"seg-0-n00": 1}, "exit_code": 0, "error": None,
+             "attempts": [{"no": 1, "started_at": 1.25, "finished_at": 2.5e-7}]},
+            {"state": "completed", "stdout": ["hello", ""], "next": 2, "truncated": False,
+             "stderr_tail": [], "exit_code": 0, "attempts": [], "retries": 0},
+            {"error": "job job-999999 not found", "status": 404},
+            {"stdout": ["h\u00e9llo w\u00f6rld \u2603 \U0001f600", "tab\tquote\"\\"]},
+            {"when": datetime.date(2013, 5, 20), "path": Path("/srv/homes"),
+             "nan": float("nan"), "inf": float("-inf"), 3: (1, 2)},
+            "a bare string", 7, None,
+        ],
+        ids=["describe", "output", "error", "non-ascii", "default-str", "str", "int", "null"],
+    )
+    def test_json_bytes_match_json_dumps(self, data):
+        expected = json.dumps(data, indent=None, default=str).encode()
+        assert Response.json(data).body == expected
 
     def test_error_response(self):
         cap, body = self.capture(Response.error(404, "gone"))
