@@ -24,7 +24,7 @@ from repro.cluster.spec import ClusterSpec, NodeSpec, SegmentSpec
 from repro.cluster.node import Node, NodeState
 from repro.cluster.segment import Segment
 from repro.cluster.grid import Grid
-from repro.cluster.job import Job, JobAttempt, JobKind, JobRequest, JobState, RetryPolicy
+from repro.cluster.job import Job, JobAttempt, JobKind, JobRequest, JobSnapshot, JobState, RetryPolicy
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import (
     Allocation,
@@ -56,7 +56,7 @@ __all__ = [
     "NodeSpec", "SegmentSpec", "ClusterSpec",
     "Node", "NodeState", "Segment", "Grid",
     "Job", "JobKind", "JobRequest", "JobState",
-    "JobAttempt", "RetryPolicy",
+    "JobAttempt", "JobSnapshot", "RetryPolicy",
     "JobQueue",
     "Scheduler", "FIFOScheduler", "PriorityScheduler", "BackfillScheduler", "Allocation",
     "CapacityView", "RunningEstimates",

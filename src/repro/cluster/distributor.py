@@ -414,8 +414,9 @@ class JobDistributor:
         in flight, under its journaled epoch.  Returns False, holding
         nothing, when a node refuses the reservation.  A launch that raises
         ends the attempt at once as failed (error ``launch failed: ...``)
-        through the settle path, which frees its cores and journals it;
-        that still counts as a start.
+        through the settle path, which frees its cores and journals it but
+        does not count it against the nodes' health; that still counts as
+        a start.
         """
         done: list[str] = []
         try:
@@ -441,7 +442,7 @@ class JobDistributor:
         try:
             handle = self._backend_for(job).launch(job)
         except Exception as exc:  # noqa: BLE001 - the attempt never ran
-            self._end_attempt(job, "failed", f"launch failed: {exc}")
+            self._end_attempt(job, "failed", f"launch failed: {exc}", blame_nodes=False)
             return True
         self._handles[job.id] = handle
         handle.on_done(self._attempt_done)
@@ -502,10 +503,12 @@ class JobDistributor:
             self._end_attempt(job, outcome, handle.error)
         self.dispatch()
 
-    def _end_attempt(self, job: Job, outcome: str, error: Optional[str]) -> bool:
+    def _end_attempt(
+        self, job: Job, outcome: str, error: Optional[str], blame_nodes: bool = True
+    ) -> bool:
         """Close ``job``'s live attempt as ``outcome`` and settle the job
         (lock held); True when it was requeued for another attempt."""
-        self._finish_attempt(job, outcome, error)
+        self._finish_attempt(job, outcome, error, blame_nodes)
         return self._settle(job, outcome, error)
 
     def _settle(self, job: Job, outcome: str, error: Optional[str]) -> bool:
@@ -518,11 +521,14 @@ class JobDistributor:
         self._seal(job, _SEALED_AS[outcome], error)
         return False
 
-    def _finish_attempt(self, job: Job, outcome: str, error: Optional[str]) -> None:
+    def _finish_attempt(
+        self, job: Job, outcome: str, error: Optional[str], blame_nodes: bool = True
+    ) -> None:
         """Free the attempt's resources and record it on the lineage (lock held).
 
         Health accounting happens here: completions are heartbeats,
-        failures/timeouts count against every node the attempt touched —
+        failures/timeouts count against every node the attempt touched
+        unless ``blame_nodes`` is False (a launch the backend refused) —
         crossing the flapping threshold drains the node (SUSPECT).
         """
         now = self.now_fn()
@@ -551,7 +557,7 @@ class JobDistributor:
             if outcome == "completed":
                 for node_name in job.placement:
                     self.health.record_heartbeat(node_name, now)
-            elif outcome in ("failed", "timeout"):
+            elif blame_nodes and outcome in ("failed", "timeout"):
                 for node_name in job.placement:
                     if self.health.record_failure(node_name, now):
                         node = self.grid.get(node_name)

@@ -30,7 +30,7 @@ from repro._errors import JobError
 from repro.cluster.streams import InteractiveChannel, StreamCapture
 from repro.wire import codec
 
-__all__ = ["JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "RetryPolicy"]
+__all__ = ["JobKind", "JobState", "JobRequest", "Job", "JobAttempt", "JobSnapshot", "RetryPolicy"]
 
 
 class _JobSeq:
@@ -180,6 +180,32 @@ class JobAttempt:
 
     def as_dict(self) -> dict:
         return {**vars(self), "placement": dict(self.placement)}
+
+
+@dataclass
+class JobSnapshot:
+    """A job as the journal keeps it, the one declaration of its keys, their
+    order and their defaults: ``job_wire`` encodes a live job by it,
+    ``replay`` folds records onto it and :meth:`Job.restore` decodes it."""
+
+    id: str
+    seq: int
+    request: dict  # the sparse request wire (``request_wire``)
+    state: JobState
+    attempt_epoch: int = 0
+    attempts: list = field(default_factory=list)  # ``JobAttempt.as_dict()`` each
+    placement: dict = field(default_factory=dict)
+    submitted_at: Optional[float] = None
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
+    not_before: float = 0.0
+    error: Optional[str] = None
+    exit_code: Optional[int] = None
+
+
+#: the argv of a request restored from the journal's stub for a live
+#: callable: it runs nothing, and ``request_wire`` gives back the stub
+LOST_CALLABLE_ARGV = ["<callable lost in restart>"]
 
 
 @dataclass
@@ -382,7 +408,7 @@ class Job:
     # -- durability ------------------------------------------------------------
     @classmethod
     def restore(cls, wire: dict) -> "Job":
-        """Rebuild a job from its journal/snapshot wire state.
+        """Rebuild a job from its :class:`JobSnapshot` wire state.
 
         The inverse of :func:`repro.durability.joblog.job_wire`: state is
         installed directly (the original transitions were validated when
@@ -390,43 +416,32 @@ class Job:
         restored ``seq``, and streams come back *empty* — stdout/stderr
         content is not journaled, only the lineage that produced it.
         Requests that could not cross the wire (live callables) are
-        restored under a stub so the lineage stays inspectable; recovery
-        decides what to do with the non-relaunchable work.
+        restored under a stub (:data:`LOST_CALLABLE_ARGV`) so the lineage
+        stays inspectable; recovery decides what to do with the
+        non-relaunchable work.
         """
-        req_wire = wire.get("request", {})
-        if "_unrecoverable" in req_wire:
-            request = JobRequest(
-                name=str(req_wire.get("name", "job")),
-                owner=str(req_wire.get("owner", "")),
-                argv=["<callable lost in restart>"],
-            )
-        else:
-            request = JobRequest.from_wire(req_wire)
+        values = vars(codec(JobSnapshot).decode(wire))
+        request = values["request"]
+        if "_unrecoverable" in request:
+            request = {**request, "argv": LOST_CALLABLE_ARGV}
         job = cls.__new__(cls)
-        job.request = request
-        job.seq = int(wire["seq"])
+        job._state = values.pop("state")
+        job.__dict__.update(
+            values,
+            request=JobRequest.from_wire(request),
+            attempts=[JobAttempt(**a) for a in values["attempts"]],
+            result=None,
+            _lock=threading.Lock(),
+        )
         _job_counter.advance_past(job.seq)
-        job.id = str(wire["id"])
-        job._state = JobState(wire["state"])
-        job._lock = threading.Lock()
         job.stdout = StreamCapture(f"{job.id}.stdout")
         job.stderr = StreamCapture(f"{job.id}.stderr")
         job.stdin = InteractiveChannel(f"{job.id}.stdin")
-        if request.kind is not JobKind.INTERACTIVE or job.terminal:
+        if job.request.kind is not JobKind.INTERACTIVE or job.terminal:
             job.stdin.close()
         if job.terminal:
             job.stdout.close()
             job.stderr.close()
-        job.exit_code = wire.get("exit_code")
-        job.error = wire.get("error")
-        job.result = None
-        job.placement = dict(wire.get("placement", {}))
-        job.submitted_at = wire.get("submitted_at")
-        job.started_at = wire.get("started_at")
-        job.finished_at = wire.get("finished_at")
-        job.attempts = [JobAttempt(**a) for a in wire.get("attempts", ())]
-        job.attempt_epoch = int(wire.get("attempt_epoch", 0))
-        job.not_before = float(wire.get("not_before", 0.0))
         return job
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.job import LOST_CALLABLE_ARGV, JobSnapshot, JobState
 from repro.durability.store import DurabilityStore
 from repro.wire import dataclass_fields
 
@@ -69,14 +70,19 @@ def _placement(p: dict) -> str:
     return "{" + ",".join(f"{_escape(k)}:{int(v)}" for k, v in p.items()) + "}"
 
 
+#: the one declaration of a journaled job's keys, order and defaults
+_SNAPSHOT = dataclass_fields(JobSnapshot)
+
+
 def request_wire(request) -> dict:
     """Sparse wire form of a request, degrading callables to a recoverable stub.
 
     Fields at their declared defaults are dropped (``from_wire`` restores
     them), which keeps the largest per-job record to a handful of keys;
-    only the other fields are encoded.
+    only the other fields are encoded.  The stub a restart leaves of a
+    callable (:data:`~repro.cluster.job.LOST_CALLABLE_ARGV`) stays a stub.
     """
-    if request.callable is not None:  # a live function has no wire form
+    if request.callable is not None or request.argv == LOST_CALLABLE_ARGV:
         return {
             "_unrecoverable": "callable",
             "name": request.name,
@@ -87,22 +93,12 @@ def request_wire(request) -> dict:
 
 
 def job_wire(job: "Job") -> dict:
-    """Snapshot form of a live job — same shape :func:`replay` produces."""
-    return {
-        "id": job.id,
-        "seq": job.seq,
-        "request": request_wire(job.request),
-        "state": job.state.value,
-        "attempt_epoch": job.attempt_epoch,
-        "attempts": [a.as_dict() for a in job.attempts],
-        "placement": dict(job.placement),
-        "submitted_at": job.submitted_at,
-        "started_at": job.started_at,
-        "finished_at": job.finished_at,
-        "not_before": job.not_before,
-        "error": job.error,
-        "exit_code": job.exit_code,
-    }
+    """The :class:`JobSnapshot` wire of a live job: what a snapshot holds per
+    job, :func:`replay` produces and :meth:`Job.restore` takes."""
+    wire = _SNAPSHOT.encode_object(job)
+    wire["request"] = request_wire(job.request)
+    wire["attempts"] = [a.as_dict() for a in job.attempts]
+    return wire
 
 
 class JobJournal:
@@ -220,58 +216,39 @@ class JobJournal:
 
 
 def replay(snapshot_state: Optional[dict], records: list[dict]) -> dict[str, dict]:
-    """Fold (snapshot, journal records) into per-job wire state.
+    """Fold (snapshot, journal records) into ``{job_id: JobSnapshot wire}``.
 
-    Pure and total: unknown kinds and records for unknown jobs are
-    skipped rather than raising, so a damaged-but-decodable journal
-    still yields its best consistent state.  Returns
-    ``{job_id: wire_state}``.
+    A ``submit`` starts a job at the declared defaults; a record's keys
+    named like snapshot fields (``placement``, ``not_before``, ``state``,
+    ...) set them, and each kind sets what it implies.  Pure and total:
+    no input is changed, and a record of an unknown kind, for an unknown
+    job or without a key its kind needs is skipped, so a damaged but
+    decodable journal still yields its best consistent state.
     """
-    jobs: dict[str, dict] = {}
-    if snapshot_state:
-        for wire in snapshot_state.get("jobs", ()):
-            jobs[wire["id"]] = dict(wire, attempts=list(wire.get("attempts", ())))
+    jobs = {wire["id"]: wire for wire in (snapshot_state or {}).get("jobs", ())}
     for rec in records:
         kind = rec.get("kind")
-        if kind == "submit":
-            jobs[rec["job"]] = {
-                "id": rec["job"],
-                "seq": int(rec.get("seq", 0)),
-                "request": rec.get("request", {}),
-                "state": "queued",
-                "attempt_epoch": 0,
-                "attempts": [],
-                "placement": {},
-                "submitted_at": rec.get("t"),
-                "started_at": None,
-                "finished_at": None,
-                "not_before": 0.0,
-                "error": None,
-                "exit_code": None,
-            }
+        try:
+            if kind == "submit":
+                jobs[rec["job"]] = _SNAPSHOT.encode_object(JobSnapshot(
+                    rec["job"], rec["seq"], rec["request"], JobState.QUEUED, submitted_at=rec["t"]
+                ))
+                continue
+            job = jobs[rec["job"]]
+            if kind == "start":
+                implied = {"state": "running", "started_at": rec["t"],
+                           "attempt_epoch": max(job["attempt_epoch"], rec["epoch"])}
+            elif kind == "attempt":
+                attempt = rec["attempt"]
+                implied = {"attempts": [*job["attempts"], attempt], "placement": {},
+                           "attempt_epoch": max(job["attempt_epoch"], attempt["no"])}
+            elif kind == "requeue":
+                implied = {"state": "queued", "placement": {}, "error": None, "exit_code": None}
+            elif kind == "seal":
+                implied = {"finished_at": rec["t"]}
+            else:
+                continue
+        except (KeyError, TypeError):
             continue
-        job = jobs.get(rec.get("job"))
-        if job is None:
-            continue
-        if kind == "start":
-            job["state"] = "running"
-            job["attempt_epoch"] = max(job["attempt_epoch"], int(rec["epoch"]))
-            job["started_at"] = rec.get("t")
-            job["placement"] = dict(rec.get("placement", {}))
-        elif kind == "attempt":
-            attempt = dict(rec["attempt"])
-            job["attempts"].append(attempt)
-            job["attempt_epoch"] = max(job["attempt_epoch"], int(attempt.get("no", 0)))
-            job["placement"] = {}
-        elif kind == "requeue":
-            job["state"] = "queued"
-            job["not_before"] = float(rec.get("not_before", 0.0))
-            job["placement"] = {}
-            job["error"] = None
-            job["exit_code"] = None
-        elif kind == "seal":
-            job["state"] = rec["state"]
-            job["finished_at"] = rec.get("t")
-            job["error"] = rec.get("error")
-            job["exit_code"] = rec.get("exit_code")
+        jobs[job["id"]] = {**job, **{k: v for k, v in rec.items() if k in job}, **implied}
     return jobs

@@ -130,7 +130,7 @@ def recover_distributor(
             wall = job.request.wallclock_timeout_s
             if wall is not None and job.submitted_at is not None:
                 dist._push_deadline(job.submitted_at + wall, "wall", job.id, -1)
-            if "_unrecoverable" in wire.get("request", {}):
+            if "_unrecoverable" in wire["request"]:
                 # a live callable died with the old process; its lineage
                 # survives but the work cannot be relaunched.
                 dist._seal(job, JobState.FAILED, "callable lost in restart (not journalable)")

@@ -4,13 +4,13 @@ Values cross the portal's boundaries (a port RPC, an HTTP JSON body, a
 journal record) as JSON.  :func:`codec` builds, once per type hint, the
 check that takes that JSON in and the encoder that puts a value back:
 ``str``, ``int`` (never a ``bool``), ``bool``, ``float`` (an ``int``
-passes), ``dict``, ``dict[str, str]``, ``list[str]``, ``tuple[str, ...]``,
+passes), ``dict``, ``list``, ``dict[str, str]``, ``list[str]``, ``tuple[str, ...]``,
 ``frozenset[str]`` (sent sorted), an ``Enum`` by value, a dataclass by its
 fields, and ``X | None``.  A ``Callable`` has no wire form.
 
 :class:`Fields` checks an object against a declaration: a dataclass's
 fields or a function's parameters, in one frame: a field of a plain type
-(a *leaf*: ``str``, ``int``, ``bool``, ``float``, ``dict``) is checked
+(a *leaf*: ``str``, ``int``, ``bool``, ``float``, ``dict``, ``list``) is checked
 inline, and only the others call their codec.  One null rule holds everywhere: a
 ``null`` field is absent, an absent field takes its declared default,
 and a required field that is absent is refused.  Keys the declaration
@@ -91,7 +91,7 @@ def _no_wire_form(value: Any) -> Any:
     raise WireError("has no wire form")
 
 
-_LEAVES = {str: (str,), int: (int,), bool: (bool,), float: (int, float), dict: (dict,)}
+_LEAVES = {t: (t,) for t in (str, int, bool, dict, list)} | {float: (int, float)}
 
 
 @functools.cache

@@ -32,9 +32,11 @@ from repro.cluster import (
     NodeState,
     RetryPolicy,
     SimulatedBackend,
+    SubprocessBackend,
 )
 from repro.cluster.backends import ExecutionBackend, ExecutionHandle
 from repro.desim import Simulator
+from repro.durability import DurabilityStore, JobJournal, replay
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)
 
@@ -412,6 +414,22 @@ class TestHealth:
         sim.run()
         assert job.state is JobState.COMPLETED
         assert dist.stats()["health"] is None
+
+    def test_a_refused_launch_does_not_drain_the_nodes(self, tmp_path):
+        """A backend that cannot run a request refuses its launch: the job
+        fails, but the nodes it was placed on are not to blame."""
+        store = DurabilityStore(tmp_path, fsync="never")
+        grid = Grid(ClusterSpec.small())
+        dist = JobDistributor(grid, SubprocessBackend(), journal=JobJournal(store))
+        jobs = [dist.submit(JobRequest(sim_duration=1.0)) for _ in range(8)]
+        assert dist.wait_all(10)
+        assert {j.state for j in jobs} == {JobState.FAILED}
+        assert all(n.state is NodeState.UP for n in grid.compute_nodes())
+        assert grid.cores_up == grid.cores_total == 8
+        store.close()
+        snapshot, records, _ = DurabilityStore(tmp_path, fsync="never").recover()
+        replayed = replay(snapshot, records)
+        assert {j.id: j.state.value for j in jobs} == {i: w["state"] for i, w in replayed.items()}
 
     def test_health_monitor_failure_window_slides(self):
         grid = Grid(ClusterSpec.small(segments=1, slaves=2, cores=2))
